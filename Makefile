@@ -29,9 +29,11 @@ fmt:
 test:
 	$(GO) test ./...
 
-## race: the CI race-detector job (correctness gate for the parallel engine)
+## race: the CI race-detector job (correctness gate for the parallel engine
+## and the coalescer's batch-to-batch handoff)
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'Batcher|Coalesc|LoadShedding|GracefulShutdown|HotSwap' ./internal/server ./internal/distrib
 
 ## lint: project analyzers (always) + staticcheck/govulncheck (when installed)
 lint: lint-udm lint-staticcheck lint-vuln

@@ -152,7 +152,6 @@ func main() {
 		prune        = flag.Float64("prune", 0, "far-field truncation tolerance for batched densities (relative error bound; 0 = no pruning)")
 		evalStr      = flag.String("eval", "", "unified evaluation defaults for every model, e.g. prune=0.01,epsilon=0.05,seed=7 (evalopt grammar; requests still pick backend/accuracy per call)")
 		maxBatch     = flag.Int("max-batch", 0, "max coalesced requests per batched call (0 = default 64)")
-		batchDelay   = flag.Duration("batch-delay", 0, "micro-batching window (0 = default 2ms; -1ns disables)")
 		timeout      = flag.Duration("timeout", 0, "per-request timeout (0 = default 30s)")
 		maxInflight  = flag.Int("max-inflight", 0, "max concurrently admitted requests before 429 shedding (0 = default 256)")
 		cacheSize    = flag.Int("cache-size", 0, "density cache entries (0 = default 4096; negative disables)")
@@ -232,7 +231,6 @@ func main() {
 
 	srv := server.New(reg, server.Options{
 		MaxBatch:         *maxBatch,
-		BatchDelay:       *batchDelay,
 		RequestTimeout:   *timeout,
 		MaxInflight:      *maxInflight,
 		CacheSize:        *cacheSize,

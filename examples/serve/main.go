@@ -60,7 +60,7 @@ func main() {
 
 	// 3. Fire 32 single-point classify requests concurrently. Each HTTP
 	// request carries ONE point; the server coalesces whatever arrives
-	// within its 2ms batching window into one ClassifyBatch call.
+	// while a batch is running into the next ClassifyBatch call.
 	pts := noisy.X[:32]
 	labels := make([]int, len(pts))
 	var wg sync.WaitGroup

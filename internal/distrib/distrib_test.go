@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"udm/internal/core"
@@ -194,6 +196,68 @@ func TestFanoutBitIdentity(t *testing.T) {
 		postJSON(t, single+"/v1/models/live/density", server.DensityRequest{Points: queries, Dims: []int{0}}, &sw)
 		bitsEqual(t, "subspace", sg.Densities, sw.Densities)
 	}
+}
+
+// TestProxyCoalescedReadsConcurrent sends single-point reads through
+// the proxy's coalescer from many goroutines at once: every answer must
+// stay bit-identical to the merged single node, whichever batch it rode
+// in.
+func TestProxyCoalescedReadsConcurrent(t *testing.T) {
+	rows := testRows(t, 600, 11)
+	queries := testQueries(16, 7)
+	engines := splitEngines(t, rows, 2)
+	p, err := NewProxy(startShards(t, engines), []ModelConfig{
+		{Name: "live", Mode: ModePartitioned, Dims: 2, KDE: testKDE},
+	}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	px := httptest.NewServer(p.Handler())
+	t.Cleanup(px.Close)
+	var want server.DensityResponse
+	if s := postJSON(t, mergedComparator(t, engines)+"/v1/models/live/density",
+		server.DensityRequest{Points: queries}, &want); s != 200 {
+		t.Fatalf("single-node density status %d", s)
+	}
+
+	read := func(q int) (float64, error) {
+		buf, err := json.Marshal(server.DensityRequest{Point: queries[q]})
+		if err != nil {
+			return 0, err
+		}
+		resp, err := http.Post(px.URL+"/v1/models/live/density", "application/json", bytes.NewReader(buf))
+		if err != nil {
+			return 0, err
+		}
+		defer resp.Body.Close()
+		var got server.DensityResponse
+		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+			return 0, err
+		}
+		if resp.StatusCode != http.StatusOK || got.Density == nil {
+			return 0, fmt.Errorf("status %d, density %v", resp.StatusCode, got.Density)
+		}
+		return *got.Density, nil
+	}
+	const clients, perClient = 8, 12
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				q := (c*perClient + i) % len(queries)
+				d, err := read(q)
+				switch {
+				case err != nil:
+					t.Errorf("client %d query %d: %v", c, q, err)
+				case math.Float64bits(d) != math.Float64bits(want.Densities[q]):
+					t.Errorf("client %d query %d: density %v, want bit-identical %v", c, q, d, want.Densities[q])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestProxyIngestRouting checks hash-routed ingest and the

@@ -40,7 +40,7 @@ type ModelConfig struct {
 // Options configure the proxy front tier. The zero value is usable.
 type Options struct {
 	// Server supplies the knobs the proxy shares with the single-node
-	// server: micro-batching (MaxBatch, BatchDelay), admission control
+	// server: micro-batching (MaxBatch), admission control
 	// (MaxInflight, RequestTimeout), slow-span logging, and the
 	// retry/breaker configuration each shard guard runs under.
 	Server server.Options
@@ -134,9 +134,6 @@ func NewProxyContext(ctx context.Context, shards []Shard, models []ModelConfig, 
 	if sopt.MaxBatch == 0 {
 		sopt.MaxBatch = 64
 	}
-	if sopt.BatchDelay == 0 {
-		sopt.BatchDelay = 2 * time.Millisecond
-	}
 	if sopt.RequestTimeout == 0 {
 		sopt.RequestTimeout = 30 * time.Second
 	}
@@ -177,7 +174,7 @@ func NewProxyContext(ctx context.Context, shards []Shard, models []ModelConfig, 
 			return nil, err
 		}
 		pm := &proxyModel{cfg: cfg, co: co}
-		pm.coalesce = server.NewCoalescer(ctx, sopt.MaxBatch, sopt.BatchDelay,
+		pm.coalesce = server.NewCoalescer(ctx, sopt.MaxBatch,
 			func(ctx context.Context, reqs [][]float64) ([]densityItem, error) {
 				var ds []float64
 				cov := 1.0
@@ -238,16 +235,10 @@ func (p *Proxy) ListenAndServe(addr string) error {
 	return p.Serve(l)
 }
 
-// Shutdown drains the proxy: readiness flips to 503, the coalescers
-// flush their in-flight queues (the same drain contract as the
-// single-node server — no waiter may be stranded on a batch-delay
-// timer that outlives the listener), and in-flight requests run to
-// completion bounded by ctx.
+// Shutdown drains the proxy: readiness flips to 503 and in-flight
+// requests run to completion bounded by ctx.
 func (p *Proxy) Shutdown(ctx context.Context) error {
 	p.ready.Store(false)
-	for _, pm := range p.models {
-		pm.coalesce.Drain()
-	}
 	if p.httpSrv != nil {
 		return p.httpSrv.Shutdown(ctx)
 	}

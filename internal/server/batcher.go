@@ -4,16 +4,19 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // batcher coalesces concurrent single-item requests into one batched
-// call on the shared worker pool. The first item to arrive arms a
-// max-delay timer; the batch flushes when either MaxBatch items are
-// pending or the timer fires, whichever comes first. Coalescing turns
-// N concurrent single-point HTTP requests into one DensityBatch /
-// ClassifyBatch call that the parallel engine fans out across cores —
-// per-request goroutine overhead collapses into one chunked dispatch.
+// call on the shared worker pool by group commit. A submission that
+// finds the batcher idle flushes at once; submissions that arrive while
+// a batch runs queue up and flush together the moment it finishes; a
+// queue that reaches MaxBatch flushes immediately. No request ever
+// waits while the evaluator is idle, batches grow with load on their
+// own, and at most one batch is in flight except when the queue fills.
+// Coalescing turns N concurrent single-point HTTP requests into one
+// DensityBatch / ClassifyBatch call that the parallel engine fans out
+// across cores — per-request goroutine overhead collapses into one
+// chunked dispatch.
 //
 // Cancellation: each submitted item carries its own context. A waiter
 // whose context ends stops waiting immediately (its slot in the batch
@@ -28,18 +31,11 @@ type batcher[Req, Res any] struct {
 	base     context.Context
 	run      func(ctx context.Context, reqs []Req) ([]Res, error)
 	maxBatch int
-	maxDelay time.Duration
 	metrics  *Metrics
-
-	// drainNow flips on when the owning server starts draining: pending
-	// items flush immediately instead of waiting out the coalescing
-	// window, so graceful shutdown never strands an in-flight waiter
-	// behind a timer that may outlive the listener.
-	drainNow atomic.Bool
 
 	mu      sync.Mutex
 	pending []batchWaiter[Req, Res]
-	timer   *time.Timer
+	busy    bool // a lead goroutine is flushing (see lead)
 }
 
 type batchWaiter[Req, Res any] struct {
@@ -56,7 +52,7 @@ type batchResult[Res any] struct {
 // newBatcher builds a coalescer whose batch contexts descend from
 // base, so in-flight batch work is canceled when the owning server's
 // lifecycle ends.
-func newBatcher[Req, Res any](base context.Context, maxBatch int, maxDelay time.Duration, metrics *Metrics,
+func newBatcher[Req, Res any](base context.Context, maxBatch int, metrics *Metrics,
 	run func(ctx context.Context, reqs []Req) ([]Res, error)) *batcher[Req, Res] {
 	if maxBatch < 1 {
 		maxBatch = 1
@@ -64,7 +60,7 @@ func newBatcher[Req, Res any](base context.Context, maxBatch int, maxDelay time.
 	if base == nil {
 		base = context.Background()
 	}
-	return &batcher[Req, Res]{base: base, run: run, maxBatch: maxBatch, maxDelay: maxDelay, metrics: metrics}
+	return &batcher[Req, Res]{base: base, run: run, maxBatch: maxBatch, metrics: metrics}
 }
 
 // do submits one item and blocks until its result is ready or ctx
@@ -74,22 +70,19 @@ func (b *batcher[Req, Res]) do(ctx context.Context, req Req) (Res, error) {
 	w := batchWaiter[Req, Res]{ctx: ctx, req: req, ch: make(chan batchResult[Res], 1)}
 	b.mu.Lock()
 	b.pending = append(b.pending, w)
-	if len(b.pending) >= b.maxBatch {
+	switch {
+	case !b.busy:
+		b.busy = true
+		batch := b.takeLocked()
+		b.mu.Unlock()
+		go b.lead(batch)
+	case len(b.pending) >= b.maxBatch:
+		// A full queue does not wait for the running batch.
 		batch := b.takeLocked()
 		b.mu.Unlock()
 		go b.flush(batch)
-	} else {
-		if len(b.pending) == 1 && b.maxDelay > 0 {
-			b.timer = time.AfterFunc(b.maxDelay, b.flushTimer)
-		}
+	default:
 		b.mu.Unlock()
-		if b.maxDelay <= 0 || b.drainNow.Load() {
-			// No coalescing window configured — or the server is
-			// draining: flush whatever is pending immediately
-			// (degenerates to per-request batches of 1 unless arrivals
-			// race).
-			b.flushTimer()
-		}
 	}
 	select {
 	case r := <-w.ch:
@@ -109,35 +102,23 @@ func (b *batcher[Req, Res]) do(ctx context.Context, req Req) (Res, error) {
 	}
 }
 
-// drain puts the batcher in drain mode and flushes whatever is pending:
-// items already waiting ride out immediately, and items admitted while
-// the listener winds down skip the coalescing window. Part of graceful
-// shutdown — without it, a request coalesced just before SIGTERM could
-// sit on the max-delay timer while the HTTP server's drain deadline
-// expires under it (observed as rare lost-batch 503s).
-func (b *batcher[Req, Res]) drain() {
-	b.drainNow.Store(true)
-	b.flushTimer()
-}
-
-// takeLocked detaches the pending batch and disarms the timer. Callers
-// hold b.mu.
+// takeLocked detaches the pending queue. Callers hold b.mu.
 func (b *batcher[Req, Res]) takeLocked() []batchWaiter[Req, Res] {
 	batch := b.pending
 	b.pending = nil
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
-	}
 	return batch
 }
 
-func (b *batcher[Req, Res]) flushTimer() {
-	b.mu.Lock()
-	batch := b.takeLocked()
-	b.mu.Unlock()
-	if len(batch) > 0 {
+// lead flushes batch and then every queue that gathers while the
+// previous flush runs, until it finds the queue empty and the batcher
+// goes idle.
+func (b *batcher[Req, Res]) lead(batch []batchWaiter[Req, Res]) {
+	for len(batch) > 0 {
 		b.flush(batch)
+		b.mu.Lock()
+		batch = b.takeLocked()
+		b.busy = len(batch) > 0
+		b.mu.Unlock()
 	}
 }
 

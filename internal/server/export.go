@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"net/http"
-	"time"
 
 	"udm/internal/obs"
 
@@ -121,27 +120,22 @@ func GuardDo[T any](ctx context.Context, g *Guard, op func(context.Context) (T, 
 func (g *Guard) Open() bool { return g.br.currentState() == breakerOpen }
 
 // Coalescer micro-batches concurrent single-item operations onto one
-// batched call, exactly as the server coalesces single-point requests.
-// Construct with NewCoalescer, submit with Do, and call Drain during
-// shutdown so no waiter is stranded on the delay timer.
+// batched call by group commit, exactly as the server coalesces
+// single-point requests (see batcher). Construct with NewCoalescer and
+// submit with Do.
 type Coalescer[Req, Res any] struct {
 	b *batcher[Req, Res]
 }
 
 // NewCoalescer builds a coalescer whose batch lifetimes descend from
-// ctx. maxBatch and maxDelay follow the server's semantics (delay ≤ 0
-// flushes immediately); run receives the coalesced batch and returns
-// positional results.
-func NewCoalescer[Req, Res any](ctx context.Context, maxBatch int, maxDelay time.Duration,
+// ctx. maxBatch caps one batch; run receives the coalesced batch and
+// returns positional results.
+func NewCoalescer[Req, Res any](ctx context.Context, maxBatch int,
 	run func(ctx context.Context, reqs []Req) ([]Res, error)) *Coalescer[Req, Res] {
-	return &Coalescer[Req, Res]{b: newBatcher(ctx, maxBatch, maxDelay, nil, run)}
+	return &Coalescer[Req, Res]{b: newBatcher(ctx, maxBatch, nil, run)}
 }
 
 // Do submits one item and blocks until its result or ctx ends.
 func (c *Coalescer[Req, Res]) Do(ctx context.Context, req Req) (Res, error) {
 	return c.b.do(ctx, req)
 }
-
-// Drain flushes pending items and makes later submissions bypass the
-// coalescing window (see batcher.drain).
-func (c *Coalescer[Req, Res]) Drain() { c.b.drain() }

@@ -20,12 +20,11 @@ import (
 	"udm/internal/udmerr"
 )
 
-// resilientOptions are the fault-matrix defaults: no coalescing window
-// (deterministic per-request flushes), no wall-clock retry sleeps worth
-// noticing, and a two-failure breaker so tests trip it quickly.
+// resilientOptions are the fault-matrix defaults: no wall-clock retry
+// sleeps worth noticing, and a two-failure breaker so tests trip it
+// quickly.
 func resilientOptions() Options {
 	return Options{
-		BatchDelay:       -1,
 		RetryBase:        50 * time.Microsecond,
 		RetryCap:         200 * time.Microsecond,
 		BreakerThreshold: 2,
@@ -355,31 +354,34 @@ func TestFaultCheckpointWrite(t *testing.T) {
 
 // TestBatcherCancelledBeforeFlushNotExecuted is the regression test for
 // the coalesce/flush cancellation race: a request whose context ends
-// between coalescing and the (latency-injected) flush must observe its
-// own cancellation, and the batch — whose every member is gone — must
-// not execute or retry the work.
+// while its flush is held up (here by an injected flush latency far
+// longer than the test) must observe its own cancellation, and the
+// batch — whose every member is gone — must abandon the stall and not
+// execute or retry the work.
 func TestBatcherCancelledBeforeFlushNotExecuted(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
-	if err := faultinject.Arm("server.batcher.flush", faultinject.Spec{Delay: 50 * time.Millisecond}); err != nil {
+	if err := faultinject.Arm("server.batcher.flush", faultinject.Spec{Delay: time.Hour}); err != nil {
 		t.Fatal(err)
 	}
 	var calls atomic.Int32
-	b := newBatcher(context.Background(), 8, time.Millisecond, nil,
+	b := newBatcher(context.Background(), 8, nil,
 		func(ctx context.Context, reqs []int) ([]int, error) {
 			calls.Add(1)
 			return nil, fmt.Errorf("boom: %w", udmerr.ErrInjected) // retryable if anyone acted on it
 		})
 	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
 	go func() {
-		time.Sleep(10 * time.Millisecond) // inside the injected flush latency
-		cancel()
+		_, err := b.do(ctx, 1)
+		done <- err
 	}()
-	_, err := b.do(ctx, 1)
-	if !errors.Is(err, context.Canceled) {
+	waitFor(t, "the flush to stall", func() bool { return flushFault.Hits() == 1 })
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled waiter got %v, want context.Canceled", err)
 	}
-	time.Sleep(60 * time.Millisecond) // let the flush goroutine finish
+	waitFor(t, "the abandoned flush to finish", func() bool { return idle(b) })
 	if got := calls.Load(); got != 0 {
 		t.Fatalf("batch executed %d times for a fully-cancelled membership, want 0", got)
 	}
@@ -392,7 +394,7 @@ func TestBatcherCancelledBeforeFlushNotExecuted(t *testing.T) {
 func TestBatcherLateErrorDoesNotMaskCancellation(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		release := make(chan struct{})
-		b := newBatcher(context.Background(), 1, 0, nil,
+		b := newBatcher(context.Background(), 1, nil,
 			func(ctx context.Context, reqs []int) ([]int, error) {
 				<-release
 				return nil, fmt.Errorf("late boom: %w", udmerr.ErrInjected)

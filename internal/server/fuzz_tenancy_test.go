@@ -40,7 +40,7 @@ func fuzzTarget(t testing.TB) *httptest.Server {
 				panic(err)
 			}
 		}
-		fuzzTS = httptest.NewServer(New(reg, Options{BatchDelay: -1}).Handler())
+		fuzzTS = httptest.NewServer(New(reg, Options{}).Handler())
 	})
 	return fuzzTS
 }

@@ -72,7 +72,7 @@ func densityProbe(t testing.TB, base string) (int, uint64, uint64) {
 // and bumps the generation, rollback restores the old answers under a
 // fresh generation, and the failure modes 409 cleanly.
 func TestHotSwapLifecycle(t *testing.T) {
-	s := testServer(t, Options{BatchDelay: -1}, "")
+	s := testServer(t, Options{}, "")
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	base := ts.URL + "/v1/models/blobs"
@@ -162,7 +162,7 @@ func TestHotSwapLifecycle(t *testing.T) {
 // staged serves 404 until its first promote — and in a fresh tenant
 // the whole namespace springs into being on that promote.
 func TestHotSwapStagedOnlyNotRoutable(t *testing.T) {
-	s := testServer(t, Options{BatchDelay: -1}, "")
+	s := testServer(t, Options{}, "")
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	base := ts.URL + "/v1/t/fresh/models/canary"
@@ -196,7 +196,7 @@ func TestHotSwapStagedOnlyNotRoutable(t *testing.T) {
 // fails. Run under -race this also proves the swap path is data-race
 // free.
 func TestHotSwapAtomicity(t *testing.T) {
-	s := testServer(t, Options{BatchDelay: -1, CacheSize: 256}, "")
+	s := testServer(t, Options{CacheSize: 256}, "")
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	base := ts.URL + "/v1/models/blobs"

@@ -21,10 +21,13 @@ type Options struct {
 	// MaxBatch caps how many coalesced single-point requests ride one
 	// batched library call (default 64).
 	MaxBatch int
-	// BatchDelay is the micro-batching window: how long the first
-	// request of a batch waits for company before the batch flushes
-	// (default 2ms). 0 disables coalescing (every request flushes
-	// immediately); shedding and caching still apply.
+	// BatchDelay is ignored.
+	//
+	// Deprecated: coalescing is work-conserving — a request that finds
+	// its coalescer idle flushes at once, and requests that arrive
+	// while a batch runs flush together when it finishes — so there is
+	// no window to configure. The field is kept so existing callers
+	// compile.
 	BatchDelay time.Duration
 	// RequestTimeout bounds each request's server-side work (default
 	// 30s). Exceeding it returns 504 and cancels the underlying batch
@@ -115,9 +118,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxBatch == 0 {
 		o.MaxBatch = 64
 	}
-	if o.BatchDelay == 0 {
-		o.BatchDelay = 2 * time.Millisecond
-	}
 	if o.RequestTimeout == 0 {
 		o.RequestTimeout = 30 * time.Second
 	}
@@ -204,7 +204,7 @@ type Server struct {
 	// its coalescing batchers, so a micro-batch only ever contains
 	// requests that resolved the same (model, generation) pair: the
 	// version-pinning half of atomic hot-swap. baseCtx parents every
-	// batch flush; retired instances are drained and dropped on swap.
+	// batch flush; retired instances are dropped on swap.
 	baseCtx  context.Context
 	rtMu     sync.Mutex
 	runtimes map[*Model]*modelBatchers
@@ -304,7 +304,7 @@ func (s *Server) runtime(sm *servedModel) *modelBatchers {
 	br := s.breakerFor(sm.tenant, m.Name())
 	mb = &modelBatchers{}
 	if clf := m.Classifier(); clf != nil {
-		mb.classify = newBatcher(s.baseCtx, opt.MaxBatch, opt.BatchDelay, s.metrics,
+		mb.classify = newBatcher(s.baseCtx, opt.MaxBatch, s.metrics,
 			func(ctx context.Context, reqs [][]float64) ([]int, error) {
 				return retryDo(ctx, s.retry, br, func(ctx context.Context) ([]int, error) {
 					if err := evalFault.Hit(ctx); err != nil {
@@ -314,7 +314,7 @@ func (s *Server) runtime(sm *servedModel) *modelBatchers {
 				})
 			})
 	}
-	mb.density = newBatcher(s.baseCtx, opt.MaxBatch, opt.BatchDelay, s.metrics,
+	mb.density = newBatcher(s.baseCtx, opt.MaxBatch, s.metrics,
 		func(ctx context.Context, reqs [][]float64) ([]float64, error) {
 			return retryDo(ctx, s.retry, br, func(ctx context.Context) ([]float64, error) {
 				if err := evalFault.Hit(ctx); err != nil {
@@ -331,24 +331,14 @@ func (s *Server) runtime(sm *servedModel) *modelBatchers {
 	return mb
 }
 
-// retire drains and drops a swapped-out model instance's batchers.
-// Draining (not killing) them is what makes the swap zero-downtime:
-// requests already pinned to the old version flush immediately and
-// finish on it, while new arrivals resolve the new instance.
+// retire drops a swapped-out model instance's batchers. Requests
+// already pinned to the old version keep their batcher and finish on
+// it, while new arrivals resolve the new instance — the swap is
+// zero-downtime.
 func (s *Server) retire(m *Model) {
 	s.rtMu.Lock()
-	mb := s.runtimes[m]
 	delete(s.runtimes, m)
 	s.rtMu.Unlock()
-	if mb == nil {
-		return
-	}
-	if mb.classify != nil {
-		mb.classify.drain()
-	}
-	if mb.density != nil {
-		mb.density.drain()
-	}
 }
 
 // Handler returns the root handler (useful for httptest and embedding).
@@ -382,27 +372,11 @@ func (s *Server) ListenAndServe(addr string) error {
 }
 
 // Shutdown drains the server gracefully: readiness flips to 503 (so
-// load balancers stop routing here), the coalescing batchers flush
-// their in-flight queues (so no waiter is stranded behind a max-delay
-// timer that outlives the listener), in-flight requests run to
+// load balancers stop routing here), in-flight requests run to
 // completion (bounded by ctx), and every stream model is checkpointed
 // via its engine's Save. It returns the first error encountered.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.ready.Store(false)
-	s.rtMu.Lock()
-	mbs := make([]*modelBatchers, 0, len(s.runtimes))
-	for _, mb := range s.runtimes {
-		mbs = append(mbs, mb)
-	}
-	s.rtMu.Unlock()
-	for _, mb := range mbs {
-		if mb.classify != nil {
-			mb.classify.drain()
-		}
-		if mb.density != nil {
-			mb.density.drain()
-		}
-	}
 	var first error
 	if s.httpSrv != nil {
 		if err := s.httpSrv.Shutdown(ctx); err != nil && first == nil {

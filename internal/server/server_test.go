@@ -17,6 +17,7 @@ import (
 
 	"udm/internal/core"
 	"udm/internal/datagen"
+	"udm/internal/faultinject"
 	"udm/internal/kde"
 	"udm/internal/rng"
 	"udm/internal/stream"
@@ -467,10 +468,15 @@ func TestRequestTimeout(t *testing.T) {
 }
 
 func TestLoadShedding(t *testing.T) {
-	// One admission slot and a long coalescing window: the first classify
+	// One admission slot and a stalled batch flush: the first classify
 	// parks inside the batcher holding the slot, so the second request
 	// must be shed with 429.
-	s := testServer(t, Options{MaxInflight: 1, MaxBatch: 100, BatchDelay: 800 * time.Millisecond}, "")
+	faultinject.Reset()
+	defer faultinject.Reset()
+	if err := faultinject.Arm("server.batcher.flush", faultinject.Spec{Delay: 800 * time.Millisecond, Times: 1}); err != nil {
+		t.Fatal(err)
+	}
+	s := testServer(t, Options{MaxInflight: 1}, "")
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	url := ts.URL + "/v1/models/blobs/classify"
@@ -481,15 +487,7 @@ func TestLoadShedding(t *testing.T) {
 		var resp classifyResponse
 		firstDone <- postJSON(t, url, body, &resp)
 	}()
-
-	// Wait until the first request holds the admission slot.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(s.inflight) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first request never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the first request to stall in its batch flush", func() bool { return flushFault.Hits() == 1 })
 
 	status, code := errCode(t, url, body)
 	if status != http.StatusTooManyRequests || code != "overloaded" {
@@ -504,8 +502,10 @@ func TestLoadShedding(t *testing.T) {
 }
 
 func TestGracefulShutdown(t *testing.T) {
+	faultinject.Reset()
+	defer faultinject.Reset()
 	dir := t.TempDir()
-	s := testServer(t, Options{BatchDelay: 300 * time.Millisecond, MaxBatch: 100}, dir)
+	s := testServer(t, Options{}, dir)
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -522,21 +522,18 @@ func TestGracefulShutdown(t *testing.T) {
 		t.Fatalf("ingest = %d, want 200", status)
 	}
 
-	// Park one classify inside the 300ms batching window, then shut
+	// Park one classify in a batch flush stalled for 300ms, then shut
 	// down: the in-flight request must complete with 200, not be cut.
+	if err := faultinject.Arm("server.batcher.flush", faultinject.Spec{Delay: 300 * time.Millisecond, Times: 1}); err != nil {
+		t.Fatal(err)
+	}
 	inflight := make(chan int, 1)
 	go func() {
 		var resp classifyResponse
 		inflight <- postJSON(t, url+"/v1/models/blobs/classify",
 			map[string]any{"point": []float64{0, 0}}, &resp)
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for len(s.inflight) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("in-flight request never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the request to stall in its batch flush", func() bool { return flushFault.Hits() == 1 })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -598,7 +595,7 @@ func TestStatusFor(t *testing.T) {
 // density reads and ingest writes plus transform classifies — the
 // race-detector test of the serving path's synchronization.
 func TestConcurrentClassifyAndIngest(t *testing.T) {
-	s := testServer(t, Options{BatchDelay: time.Millisecond}, "")
+	s := testServer(t, Options{}, "")
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -219,9 +219,8 @@ func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePromote publishes the staged version atomically and retires
-// the old version's batchers (draining them keeps in-flight pinned
-// requests serviceable while new requests coalesce on the new
-// version's batchers).
+// the old version's batchers (in-flight pinned requests finish on them
+// while new requests coalesce on the new version's batchers).
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	s.handleSwap(w, r, s.reg.Promote, s.metrics.SwapPromotes, "no_staged")
 }

@@ -98,7 +98,7 @@ func postTenant(t testing.TB, url, tenant, body string) (int, http.Header, strin
 // path, default-tenant path, tenant path, legacy path + header — and
 // the tenant isolation between namespaces.
 func TestTenantNamespaceRouting(t *testing.T) {
-	s := tenantServer(t, Options{BatchDelay: -1})
+	s := tenantServer(t, Options{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -171,7 +171,7 @@ func TestTenantNamespaceRouting(t *testing.T) {
 // tenants sharing a model name must still get their own cached
 // densities back, bit for bit.
 func TestTenantCacheIsolation(t *testing.T) {
-	s := tenantServer(t, Options{BatchDelay: -1, CacheSize: 64})
+	s := tenantServer(t, Options{CacheSize: 64})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -211,7 +211,6 @@ func TestTenantInflightQuota(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
 	opt := Options{
-		BatchDelay:   -1,
 		MaxInflight:  64,
 		TenantQuotas: map[string]Quota{"noisy": {MaxInflight: 1}},
 	}
@@ -289,7 +288,6 @@ func TestTenantInflightQuota(t *testing.T) {
 // refusal changes nothing.
 func TestTenantModelAndPointQuotas(t *testing.T) {
 	opt := Options{
-		BatchDelay:   -1,
 		TenantQuotas: map[string]Quota{"small": {MaxModels: 1, MaxPoints: 350}},
 	}
 	s := testServer(t, opt, "")
