@@ -1,10 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strconv"
+	"sync"
 
 	"udm/internal/dataset"
 	"udm/internal/kde"
@@ -63,12 +66,30 @@ func (o ClassifierOptions) withDefaults() ClassifierOptions {
 // subsets in which some class's instance-specific local accuracy
 // (Eq. 11) is highest.
 type Classifier struct {
-	global     kde.Estimator
-	class      []kde.Estimator
+	global     factorEstimator
+	class      []factorEstimator
 	classCount []int
 	total      float64
 	dims       int
 	opt        ClassifierOptions
+	tables     sync.Pool // *pointTables, one borrowed per decided point
+}
+
+// factorEstimator is what the classifier needs of a density estimator:
+// DensitySub for Accuracy, and a factor table per test point for the
+// roll-up. kde.ClusterKDE and kde.PointKDE both qualify.
+type factorEstimator interface {
+	DensitySub(x []float64, dims []int) float64
+	FactorTable(x []float64, t *kde.FactorTable)
+}
+
+// pointTables holds one test point's factor tables, the global
+// estimator's and one per class, plus the roll-up's reusable scratch.
+type pointTables struct {
+	global kde.FactorTable
+	class  []kde.FactorTable
+	dims   []int  // the candidate being keyed
+	key    []byte // its dedup key
 }
 
 // NewClassifier builds the scalable classifier over a density-based
@@ -221,21 +242,53 @@ func (c *Classifier) Accuracy(x []float64, dims []int, label int) float64 {
 	return float64(c.classCount[label]) * cd / (c.total * gd)
 }
 
-// accuracyAll returns dom(x, S) and its accuracy, plus ok=false when the
-// global density underflows.
-func (c *Classifier) accuracyAll(x []float64, dims []int) (best int, acc float64, ok bool) {
-	gd := c.global.DensitySub(x, dims)
+// tablesAt borrows a pointTables from the pool and fills it at x. Every
+// candidate subspace of x is then scored from the tables, so each kernel
+// factor is evaluated once per point rather than once per candidate.
+// Return the tables with c.tables.Put.
+func (c *Classifier) tablesAt(x []float64) *pointTables {
+	t, _ := c.tables.Get().(*pointTables)
+	if t == nil {
+		t = &pointTables{class: make([]kde.FactorTable, len(c.class))}
+	}
+	c.global.FactorTable(x, &t.global)
+	for l, est := range c.class {
+		est.FactorTable(x, &t.class[l])
+	}
+	return t
+}
+
+// accuracyAll returns dom(x, S) and its accuracy from x's factor tables,
+// plus ok=false when the global density underflows. The densities are
+// bit-identical to DensitySub's, so the result equals Accuracy's.
+func (c *Classifier) accuracyAll(t *pointTables, dims []int) (best int, acc float64, ok bool) {
+	gd := t.global.DensitySub(dims)
 	if gd <= densityFloor {
 		return 0, 0, false
 	}
 	denom := c.total * gd
-	for l := range c.class {
-		a := float64(c.classCount[l]) * c.class[l].DensitySub(x, dims) / denom
+	for l := range t.class {
+		a := float64(c.classCount[l]) * t.class[l].DensitySub(dims) / denom
 		if a > acc {
 			best, acc = l, a
 		}
 	}
 	return best, acc, true
+}
+
+// checkPoint rejects a test point of the wrong length or with a NaN or
+// ±Inf coordinate, which would turn every density of the roll-up into
+// NaN (or 0) and the decision into a silent fallback.
+func (c *Classifier) checkPoint(x []float64) error {
+	if len(x) != c.dims {
+		return fmt.Errorf("core: test point has %d dims, classifier has %d: %w", len(x), c.dims, udmerr.ErrDimensionMismatch)
+	}
+	for j, v := range x {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("core: test point coordinate %d is %v: %w", j, v, udmerr.ErrBadData)
+		}
+	}
+	return nil
 }
 
 // FullSpace wraps the classifier's density machinery without the
@@ -254,14 +307,18 @@ type FullSpaceClassifier struct {
 
 // Classify returns the class with the highest full-dimensional local
 // accuracy, falling back to the training prior when densities underflow.
+// Like Decide, it rejects NaN and ±Inf coordinates with udmerr.ErrBadData.
 func (f *FullSpaceClassifier) Classify(x []float64) (int, error) {
-	if len(x) != f.c.dims {
-		return 0, fmt.Errorf("core: test point has %d dims, classifier has %d: %w", len(x), f.c.dims, udmerr.ErrDimensionMismatch)
+	c := f.c
+	if err := c.checkPoint(x); err != nil {
+		return 0, err
 	}
-	if best, _, ok := f.c.accuracyAll(x, allDims(f.c.dims)); ok {
+	t := c.tablesAt(x)
+	defer c.tables.Put(t)
+	if best, _, ok := c.accuracyAll(t, allDims(c.dims)); ok {
 		return best, nil
 	}
-	return argmaxInt(f.c.classCount), nil
+	return argmaxInt(c.classCount), nil
 }
 
 // Probabilities returns normalized class scores for x derived from the
@@ -385,11 +442,14 @@ func (c *Classifier) Classify(x []float64) (int, error) {
 }
 
 // Decide runs the Figure-3 algorithm on one test point and returns the
-// full decision trace.
+// full decision trace. A point with a NaN or ±Inf coordinate is rejected
+// with udmerr.ErrBadData.
 func (c *Classifier) Decide(x []float64) (*Decision, error) {
-	if len(x) != c.dims {
-		return nil, fmt.Errorf("core: test point has %d dims, classifier has %d: %w", len(x), c.dims, udmerr.ErrDimensionMismatch)
+	if err := c.checkPoint(x); err != nil {
+		return nil, err
 	}
+	t := c.tablesAt(x)
+	defer c.tables.Put(t)
 	dec := &Decision{}
 
 	// Level 1: score every single dimension.
@@ -398,7 +458,7 @@ func (c *Classifier) Decide(x []float64) (*Decision, error) {
 	var singles []int
 	for j := 0; j < c.dims; j++ {
 		dec.Candidates++
-		if best, acc, ok := c.accuracyAll(x, []int{j}); ok && acc > c.opt.Threshold {
+		if best, acc, ok := c.accuracyAll(t, []int{j}); ok && acc > c.opt.Threshold {
 			s := SubspaceScore{Dims: []int{j}, Class: best, Accuracy: acc}
 			level = append(level, s)
 			all = append(all, s)
@@ -411,24 +471,28 @@ func (c *Classifier) Decide(x []float64) (*Decision, error) {
 
 	// Roll-up: C_{i+1} = L_i ⋈ L_1, retaining subspaces whose best-class
 	// accuracy clears the threshold. Candidate sets are deduplicated,
-	// since the same (i+1)-set arises from several parents.
+	// since the same (i+1)-set arises from several parents: each pair's
+	// set and key are built in reused scratch, and only a new candidate
+	// gets its own copies.
 	size := 1
+	seen := map[string]bool{}
 	for len(level) > 0 && (c.opt.MaxSubspaceSize < 0 || size < c.opt.MaxSubspaceSize) {
-		seen := map[string]bool{}
+		clear(seen)
 		var next []SubspaceScore
 		for _, s := range level {
 			for _, j := range singles {
 				if containsDim(s.Dims, j) {
 					continue
 				}
-				nd := insertDim(s.Dims, j)
-				key := dimsKey(nd)
-				if seen[key] {
+				t.dims = insertDim(t.dims[:0], s.Dims, j)
+				t.key = appendDimsKey(t.key[:0], t.dims)
+				if seen[string(t.key)] {
 					continue
 				}
-				seen[key] = true
+				seen[string(t.key)] = true
+				nd := append([]int(nil), t.dims...)
 				dec.Candidates++
-				if best, acc, ok := c.accuracyAll(x, nd); ok && acc > c.opt.Threshold {
+				if best, acc, ok := c.accuracyAll(t, nd); ok && acc > c.opt.Threshold {
 					sc := SubspaceScore{Dims: nd, Class: best, Accuracy: acc}
 					next = append(next, sc)
 					all = append(all, sc)
@@ -446,7 +510,7 @@ func (c *Classifier) Decide(x []float64) (*Decision, error) {
 		// No discriminatory subspace: fall back to the full-dimensional
 		// dominant class, or the prior majority if even that underflows.
 		dec.Fallback = true
-		if best, _, ok := c.accuracyAll(x, allDims(c.dims)); ok {
+		if best, _, ok := c.accuracyAll(t, allDims(c.dims)); ok {
 			dec.Label = best
 		} else {
 			dec.Label = argmaxInt(c.classCount)
@@ -456,7 +520,7 @@ func (c *Classifier) Decide(x []float64) (*Decision, error) {
 
 	// Greedy non-overlapping selection by accuracy, then majority vote of
 	// the dominant classes (ties broken by total accuracy, then index).
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Accuracy > all[j].Accuracy })
+	slices.SortStableFunc(all, func(a, b SubspaceScore) int { return cmp.Compare(b.Accuracy, a.Accuracy) })
 	used := make([]bool, c.dims)
 	votes := make([]int, len(c.class))
 	weight := make([]float64, len(c.class))
@@ -493,9 +557,8 @@ func containsDim(dims []int, j int) bool {
 	return false
 }
 
-// insertDim returns a new ascending slice with j inserted.
-func insertDim(dims []int, j int) []int {
-	out := make([]int, 0, len(dims)+1)
+// insertDim appends the ascending dims with j inserted to out.
+func insertDim(out, dims []int, j int) []int {
 	done := false
 	for _, d := range dims {
 		if !done && j < d {
@@ -510,13 +573,13 @@ func insertDim(dims []int, j int) []int {
 	return out
 }
 
-func dimsKey(dims []int) string {
-	b := make([]byte, 0, 4*len(dims))
+// appendDimsKey appends the dedup key of dims to b.
+func appendDimsKey(b []byte, dims []int) []byte {
 	for _, d := range dims {
 		b = strconv.AppendInt(b, int64(d), 10)
 		b = append(b, ',')
 	}
-	return string(b)
+	return b
 }
 
 func overlaps(dims []int, used []bool) bool {

@@ -226,23 +226,13 @@ func (k *PointKDE) Density(x []float64) float64 {
 // DensitySub returns the estimated joint density at x over dims:
 // f(x) = (1/N) Σ_i Π_{j∈dims} K_{h_j,ψ_j(X_i)}(x_j − X_ij).
 func (k *PointKDE) DensitySub(x []float64, dims []int) float64 {
-	if len(x) != len(k.h) {
-		panic(fmt.Sprintf("kde: query point has %d dims, estimator has %d", len(x), len(k.h)))
-	}
+	checkQuery(x, len(k.h))
 	checkDims(dims, len(k.h))
 	var sum float64
-	for i, xi := range k.x {
-		var er []float64
-		if k.errs != nil {
-			er = k.errs[i]
-		}
+	for i := range k.x {
 		prod := 1.0
 		for _, j := range dims {
-			psi := 0.0
-			if er != nil {
-				psi = er[j]
-			}
-			prod *= k.opt.evalKernel(x[j], xi[j], k.h[j], psi)
+			prod *= k.factor(x[j], i, j)
 			if prod == 0 {
 				break
 			}
@@ -250,6 +240,16 @@ func (k *PointKDE) DensitySub(x []float64, dims []int) float64 {
 		sum += prod
 	}
 	return sum / float64(len(k.x))
+}
+
+// factor is point i's kernel factor along dimension j at coordinate v,
+// widened by the point's recorded error when error adjustment is on.
+func (k *PointKDE) factor(v float64, i, j int) float64 {
+	psi := 0.0
+	if k.errs != nil {
+		psi = k.errs[i][j]
+	}
+	return k.opt.evalKernel(v, k.x[i][j], k.h[j], psi)
 }
 
 // DensityQ returns the expected density at an uncertain query point:
@@ -470,19 +470,13 @@ func (k *ClusterKDE) Density(x []float64) float64 {
 // The cluster kernel always goes through the error-adjusted form because
 // Δ is nonzero for any cluster with spread, regardless of ErrorAdjust.
 func (k *ClusterKDE) DensitySub(x []float64, dims []int) float64 {
-	if len(x) != len(k.h) {
-		panic(fmt.Sprintf("kde: query point has %d dims, estimator has %d", len(x), len(k.h)))
-	}
+	checkQuery(x, len(k.h))
 	checkDims(dims, len(k.h))
 	var sum float64
-	for i, c := range k.cents {
+	for i := range k.cents {
 		prod := k.weights[i]
 		for _, j := range dims {
-			if k.opt.PaperKernel {
-				prod *= kernel.ErrAdjustedPaper(x[j], c[j], k.h[j], k.deltas[i][j])
-			} else {
-				prod *= kernel.ErrAdjustedNormalized(x[j], c[j], k.h[j], k.deltas[i][j])
-			}
+			prod *= k.factor(x[j], i, j)
 			if prod == 0 {
 				break
 			}
@@ -490,6 +484,15 @@ func (k *ClusterKDE) DensitySub(x []float64, dims []int) float64 {
 		sum += prod
 	}
 	return sum / k.total
+}
+
+// factor is pseudo-point i's kernel factor along dimension j at
+// coordinate v: Eq. 9's kernel widened by the pseudo-point error Δ.
+func (k *ClusterKDE) factor(v float64, i, j int) float64 {
+	if k.opt.PaperKernel {
+		return kernel.ErrAdjustedPaper(v, k.cents[i][j], k.h[j], k.deltas[i][j])
+	}
+	return kernel.ErrAdjustedNormalized(v, k.cents[i][j], k.h[j], k.deltas[i][j])
 }
 
 // DensityQ returns the expected density at an uncertain query point over
@@ -549,6 +552,12 @@ func allDims(d int) []int {
 		dims[j] = j
 	}
 	return dims
+}
+
+func checkQuery(x []float64, d int) {
+	if len(x) != d {
+		panic(fmt.Sprintf("kde: query point has %d dims, estimator has %d", len(x), d))
+	}
 }
 
 func checkDims(dims []int, d int) {

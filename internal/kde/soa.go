@@ -306,22 +306,43 @@ func (e *engine) densityFlat(q []float64, dims []int, prod []float64) float64 {
 	e.initProd(prod)
 	exp := e.expFn(len(dims))
 	for _, j := range dims {
-		switch e.mode {
-		case modePlain:
-			mulGauss(prod, e.cols[j], q[j], e.h[j], exp)
-		case modeWidth:
-			mulWidth(prod, e.cols[j], e.width[j], q[j], exp)
-		case modePaperMixed:
-			mulPaperMixed(prod, e.cols[j], e.psi[j], e.norm[j], e.tv[j], q[j], e.h[j], exp)
-		case modePaperAll:
-			mulPaperAll(prod, e.cols[j], e.norm[j], e.tv[j], q[j], exp)
-		}
+		e.mulDim(prod, j, q[j], exp)
 	}
 	var sum float64
 	for _, p := range prod {
 		sum += p
 	}
 	return sum / e.total
+}
+
+// mulDim multiplies every entry's product by its kernel factor along
+// dimension j at query coordinate v, in the form the engine's mode
+// encodes, over the flat (unpermuted) columns.
+func (e *engine) mulDim(prod []float64, j int, v float64, exp func(float64) float64) {
+	switch e.mode {
+	case modePlain:
+		mulGauss(prod, e.cols[j], v, e.h[j], exp)
+	case modeWidth:
+		mulWidth(prod, e.cols[j], e.width[j], v, exp)
+	case modePaperMixed:
+		mulPaperMixed(prod, e.cols[j], e.psi[j], e.norm[j], e.tv[j], v, e.h[j], exp)
+	case modePaperAll:
+		mulPaperAll(prod, e.cols[j], e.norm[j], e.tv[j], v, exp)
+	}
+}
+
+// factors writes every entry's kernel factor at q into f (f[j][i], one
+// len-n column per dimension) by running mulDim over columns of ones
+// with math.Exp. 1·k = k exactly, so each cell holds the very factor
+// the scalar DensitySub multiplies. The pruned columns and the accuracy
+// mode never apply here, because DensitySub ignores both.
+func (e *engine) factors(q []float64, f [][]float64) {
+	for j, col := range f {
+		for i := range col {
+			col[i] = 1
+		}
+		e.mulDim(col, j, q[j], math.Exp)
+	}
 }
 
 // densityQFlat folds the query's own errors into every width. The op

@@ -14,6 +14,11 @@
 # gates below apply only to the exact/pruned pair, so adding a backend
 # can never fail CI on its own.
 #
+# BenchmarkDecide in internal/core times one Figure-3 classification at
+# the classify serving workload's model shape, through the factor-table
+# roll-up (decide_ns) and through the DensitySub reference it replaced
+# (decide_ref_ns). Both series are informational, like the backends.
+#
 # Two gates, both computed within this run so they are machine-relative:
 #   1. speedup: exact_ns / pruned_ns must be at least
 #      BENCH_KDE_MIN_SPEEDUP — the whole point of the spatial index.
@@ -57,6 +62,11 @@ go test -run '^$' \
   -bench '^BenchmarkBackendDensityBatch$' \
   -benchtime "$BENCHTIME" -count "$COUNT" ./internal/density >"$TMP/backend.txt"
 
+echo "bench-kde: running Figure-3 decide benchmarks" >&2
+go test -run '^$' \
+  -bench '^BenchmarkDecide$' \
+  -benchtime "$BENCHTIME" -count "$COUNT" ./internal/core >"$TMP/decide.txt"
+
 exact_ns="$(best_ns_per_op "$TMP/bench.txt" '^BenchmarkDensityBatchPruned/mode=exact')"
 pruned_ns="$(best_ns_per_op "$TMP/bench.txt" '^BenchmarkDensityBatchPruned/mode=pruned')"
 approx_ns="$(best_ns_per_op "$TMP/bench.txt" '^BenchmarkDensityBatchPruned/mode=approx')"
@@ -65,6 +75,8 @@ backend_exact_ns="$(best_ns_per_op "$TMP/backend.txt" '^BenchmarkBackendDensityB
 backend_micro_ns="$(best_ns_per_op "$TMP/backend.txt" '^BenchmarkBackendDensityBatch/backend=micro')"
 backend_grid_ns="$(best_ns_per_op "$TMP/backend.txt" '^BenchmarkBackendDensityBatch/backend=grid')"
 backend_hbe_ns="$(best_ns_per_op "$TMP/backend.txt" '^BenchmarkBackendDensityBatch/backend=hbe')"
+decide_ns="$(best_ns_per_op "$TMP/decide.txt" '^BenchmarkDecide/table')"
+decide_ref_ns="$(best_ns_per_op "$TMP/decide.txt" '^BenchmarkDecide/reference')"
 
 speedup_pruned="$(awk -v a="$exact_ns" -v b="$pruned_ns" 'BEGIN { printf "%.2f", a / b }')"
 speedup_approx="$(awk -v a="$exact_ns" -v b="$approx_ns" 'BEGIN { printf "%.2f", a / b }')"
@@ -89,6 +101,8 @@ entry="$(cat <<EOF
     "backend_micro_ns": $backend_micro_ns,
     "backend_grid_ns": $backend_grid_ns,
     "backend_hbe_ns": $backend_hbe_ns,
+    "decide_ns": $decide_ns,
+    "decide_ref_ns": $decide_ref_ns,
     "speedup_pruned": $speedup_pruned,
     "speedup_approx": $speedup_approx
   }
@@ -107,6 +121,7 @@ fi
 
 echo "bench-kde: exact ${exact_ns} ns/op, pruned ${pruned_ns} ns/op (${speedup_pruned}x), approx ${approx_ns} ns/op (${speedup_approx}x)"
 echo "bench-kde: backends exact ${backend_exact_ns} / micro ${backend_micro_ns} / grid ${backend_grid_ns} / hbe ${backend_hbe_ns} ns/op"
+echo "bench-kde: decide ${decide_ns} ns/op (reference roll-up ${decide_ref_ns} ns/op)"
 echo "bench-kde: appended entry to $OUT"
 
 fail=0
