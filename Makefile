@@ -9,7 +9,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: check build vet fmt test race lint lint-udm lint-fix-check lint-staticcheck lint-vuln tools bench-smoke fuzz-smoke faults serve-smoke proxy-smoke tenant-smoke loadtest bench bench-snapshot bench-kde ci
+.PHONY: check build vet fmt test race lint lint-udm lint-fix-check lint-staticcheck lint-vuln tools bench-smoke fuzz-smoke faults serve-smoke proxy-smoke tenant-smoke loadtest bench bench-snapshot bench-kde perfbench-check ci
 
 ## check: everything the CI "check" job gates on (build+vet+fmt+test)
 check: build vet fmt test
@@ -29,11 +29,11 @@ fmt:
 test:
 	$(GO) test ./...
 
-## race: the CI race-detector job (correctness gate for the parallel engine
-## and the coalescer's batch-to-batch handoff)
+## race: the CI race-detector job (correctness gate for the parallel engine,
+## the coalescer's batch-to-batch handoff, and the shared admission front)
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'Batcher|Coalesc|LoadShedding|GracefulShutdown|HotSwap' ./internal/server ./internal/distrib
+	$(GO) test -race -count=10 -run 'Batcher|Coalesc|LoadShedding|GracefulShutdown|HotSwap|ShutdownBeforeServe|ProxyAdmission' ./internal/server ./internal/distrib
 
 ## lint: project analyzers (always) + staticcheck/govulncheck (when installed)
 lint: lint-udm lint-staticcheck lint-vuln
@@ -131,5 +131,11 @@ bench-snapshot:
 bench-kde:
 	bash scripts/bench_kde.sh
 
+## perfbench-check: the serving benchmark is its own module (replace
+## udm => ../) compiled against internal/server and internal/distrib;
+## vet and test it so a change to that surface cannot break it unseen
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
+
 ## ci: the full pipeline, serially
-ci: check lint race bench-smoke fuzz-smoke faults serve-smoke proxy-smoke tenant-smoke loadtest
+ci: check lint race bench-smoke fuzz-smoke faults serve-smoke proxy-smoke tenant-smoke loadtest perfbench-check

@@ -264,11 +264,13 @@ func TestFromSummarizerLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	infos := map[evalopt.Backend]Info{}
 	for _, bk := range []evalopt.Backend{evalopt.BackendExact, evalopt.BackendMicro} {
 		b, err := FromSummarizer(s, kde.Options{ErrorAdjust: true, Eval: evalopt.Options{Backend: bk}})
 		if err != nil {
 			t.Fatalf("FromSummarizer(%q): %v", bk, err)
 		}
+		infos[bk] = b.Info()
 		got, err := b.DensityBatch(context.Background(), sc.ds.X, nil, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -278,6 +280,11 @@ func TestFromSummarizerLadder(t *testing.T) {
 				t.Fatalf("%q over summary differs at %d", bk, i)
 			}
 		}
+	}
+	// One estimator, two promises: the rungs still describe themselves.
+	if ex, mi := infos[evalopt.BackendExact], infos[evalopt.BackendMicro]; ex.Backend != evalopt.BackendExact ||
+		mi.Backend != evalopt.BackendMicro || !ex.Exact || mi.Exact {
+		t.Errorf("exact/micro over summary report %+v / %+v, want distinct backends, exact only for exact", ex, mi)
 	}
 	for _, eval := range []evalopt.Options{
 		{Backend: evalopt.BackendGrid},

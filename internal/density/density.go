@@ -134,18 +134,18 @@ func FromSummarizer(s *microcluster.Summarizer, opt kde.Options) (Backend, error
 		return nil, err
 	}
 	switch opt.Eval.Backend {
-	case evalopt.BackendDefault, evalopt.BackendExact:
+	case evalopt.BackendDefault, evalopt.BackendExact, evalopt.BackendMicro:
+		// Over a summary the exact and micro rungs are one estimator;
+		// only what they promise differs.
 		est, err := kde.NewCluster(s, opt)
 		if err != nil {
 			return nil, err
 		}
-		return &kdeBackend{est: est, info: exactInfo(opt)}, nil
-	case evalopt.BackendMicro:
-		est, err := kde.NewCluster(s, opt)
-		if err != nil {
-			return nil, err
+		info := exactInfo(opt)
+		if opt.Eval.Backend == evalopt.BackendMicro {
+			info = microInfo(opt)
 		}
-		return &kdeBackend{est: est, info: microInfo(opt)}, nil
+		return &kdeBackend{est: est, info: info}, nil
 	case evalopt.BackendGrid:
 		return newGridFromSummarizer(s, opt)
 	case evalopt.BackendHBE:

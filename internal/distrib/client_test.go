@@ -43,7 +43,9 @@ func TestIngestRetryIdempotent(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasSuffix(r.URL.Path, "/ingest") && sabotaged.CompareAndSwap(false, true) {
 			inner.ServeHTTP(httptest.NewRecorder(), r)
-			server.WriteErrorBody(w, http.StatusBadGateway, "injected_fault", "response lost after apply")
+			var lost server.ErrorBody
+			lost.Error.Code, lost.Error.Message = "injected_fault", "response lost after apply"
+			server.WriteJSON(w, http.StatusBadGateway, lost)
 			return
 		}
 		inner.ServeHTTP(w, r)

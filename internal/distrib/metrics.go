@@ -1,26 +1,17 @@
 package distrib
 
 import (
-	"time"
-
 	"udm/internal/obs"
+	"udm/internal/server"
 )
 
-var proxyLatencyBuckets = obs.ExpBuckets(1e-6, 2, 27)
-
-// Metrics holds the proxy's counters on its own obs.Registry. Shard-
-// labeled series (udm_proxy_shard_errors_total,
+// Metrics holds the proxy's counters on the front's obs.Registry: the
+// request outcomes and latency the front records (embedded), plus the
+// fan-out series. Shard-labeled series (udm_proxy_shard_errors_total,
 // udm_proxy_shard_latency_seconds) and per-shard breaker series are
 // registered on the same registry by the shard clients.
 type Metrics struct {
-	start time.Time
-	reg   *obs.Registry
-
-	Requests *obs.Counter // every request to a /v1 endpoint
-	Errors   *obs.Counter // 4xx/5xx responses
-	Shed     *obs.Counter // rejected with 429 by the inflight gate
-	Timeouts *obs.Counter // 504s from the per-request deadline
-	Canceled *obs.Counter // clients that disconnected mid-request
+	*server.FrontMetrics
 
 	// Fanouts counts scatter/gather rounds against the shard set; a
 	// stale-version refresh fans out again and counts again.
@@ -28,61 +19,26 @@ type Metrics struct {
 	// Degraded counts fan-outs answered from a strict subset of the
 	// shards (the responses carrying X-UDM-Degraded: partial).
 	Degraded *obs.Counter // udm_proxy_degraded_total
-
-	Latency *obs.Histogram
 }
 
-func newProxyMetrics() *Metrics {
-	reg := obs.NewRegistry()
-	m := &Metrics{
-		start: time.Now(),
-		reg:   reg,
-
-		Requests: reg.Counter("udm_proxy_requests_total", "requests to /v1 endpoints"),
-		Errors:   reg.Counter("udm_proxy_errors_total", "4xx/5xx responses"),
-		Shed:     reg.Counter("udm_proxy_shed_total", "requests shed with 429 by the inflight gate"),
-		Timeouts: reg.Counter("udm_proxy_timeouts_total", "504 responses from the per-request deadline"),
-		Canceled: reg.Counter("udm_proxy_canceled_total", "clients that disconnected mid-request"),
-
-		Fanouts:  reg.Counter("udm_proxy_fanout_total", "scatter/gather rounds against the shard set"),
-		Degraded: reg.Counter("udm_proxy_degraded_total", "fan-outs answered from a strict subset of shards"),
-
-		Latency: reg.Histogram("udm_proxy_latency_seconds", "latency of served /v1 requests", proxyLatencyBuckets),
+func newProxyMetrics(fm *server.FrontMetrics) *Metrics {
+	reg := fm.Registry()
+	return &Metrics{
+		FrontMetrics: fm,
+		Fanouts:      reg.Counter("udm_proxy_fanout_total", "scatter/gather rounds against the shard set"),
+		Degraded:     reg.Counter("udm_proxy_degraded_total", "fan-outs answered from a strict subset of shards"),
 	}
-	reg.GaugeFunc("udm_proxy_uptime_seconds", "seconds since the proxy was built",
-		func() float64 { return time.Since(m.start).Seconds() })
-	return m
 }
 
-// Registry exposes the proxy-scoped metrics registry.
-func (m *Metrics) Registry() *obs.Registry { return m.reg }
-
-// endpointCounter get-or-creates the per-endpoint request counter.
-func (m *Metrics) endpointCounter(endpoint string) *obs.Counter {
-	return m.reg.Counter("udm_proxy_endpoint_requests_total", "requests by endpoint",
-		"endpoint", endpoint)
-}
-
-// endpointLatency get-or-creates the per-endpoint latency histogram.
-func (m *Metrics) endpointLatency(endpoint string) *obs.Histogram {
-	return m.reg.Histogram("udm_proxy_request_seconds", "request latency by endpoint",
-		proxyLatencyBuckets, "endpoint", endpoint)
-}
-
-// snapshot renders the proxy counters as the JSON /metrics document.
-// Unlike the single-node server's frozen document this one is new with
-// the proxy, so it carries exactly the proxy-level counters.
-func (m *Metrics) snapshot() map[string]any {
-	return map[string]any{
-		"uptime_seconds":  time.Since(m.start).Seconds(),
-		"requests":        m.Requests.Load(),
-		"errors":          m.Errors.Load(),
-		"shed":            m.Shed.Load(),
-		"timeouts":        m.Timeouts.Load(),
-		"canceled":        m.Canceled.Load(),
-		"fanouts":         m.Fanouts.Load(),
-		"degraded":        m.Degraded.Load(),
-		"latency_count":   m.Latency.Count(),
-		"latency_mean_us": int64(m.Latency.Mean() * 1e6),
-	}
+// snapshot renders the proxy's JSON /metrics document: the front's
+// shared keys plus the fan-out counters. Unlike the single-node
+// server's frozen document this one is new with the proxy, so it
+// carries exactly the proxy-level counters.
+func (p *Proxy) snapshot() map[string]any {
+	m := p.metrics
+	doc := m.Snapshot()
+	doc["fanouts"] = m.Fanouts.Load()
+	doc["degraded"] = m.Degraded.Load()
+	doc["latency_mean_us"] = int64(m.Latency.Mean() * 1e6)
+	return doc
 }

@@ -2,13 +2,11 @@ package distrib
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net"
 	"net/http"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"udm/internal/evalopt"
@@ -41,8 +39,10 @@ type ModelConfig struct {
 type Options struct {
 	// Server supplies the knobs the proxy shares with the single-node
 	// server: micro-batching (MaxBatch), admission control
-	// (MaxInflight, RequestTimeout), slow-span logging, and the
-	// retry/breaker configuration each shard guard runs under.
+	// (MaxInflight, TenantMaxInflight, TenantQuotas' MaxInflight,
+	// RequestTimeout), slow-span logging, and the retry/breaker
+	// configuration each shard guard runs under. The quotas on models
+	// and points are enforced by the shards.
 	Server server.Options
 	// FanoutWorkers bounds the scatter stage's concurrency (≤ 0 means
 	// one worker per shard is allowed, the parallel pool's default).
@@ -95,21 +95,16 @@ type proxyModel struct {
 
 // Proxy is the distributed front tier: an HTTP server that is drop-in
 // URL-compatible with the single-node udmserve surface (/healthz,
-// /readyz, /metrics, /v1/models, classify/density/outliers/ingest) and
-// answers by fanning out to the shard set. See the package comment for
-// the merge-determinism contract.
+// /readyz, /metrics, /v1/models, classify/density/outliers/ingest),
+// mounted on the same admission front (server.Front), and answers by
+// fanning out to the shard set. See the package comment for the
+// merge-determinism contract.
 type Proxy struct {
-	opt       Options
-	serverOpt server.Options // withDefaults applied
-	metrics   *Metrics
-	tracer    *obs.Tracer
-	shards    []*ShardClient
-	models    map[string]*proxyModel
-	names     []string
-	inflight  chan struct{}
-	ready     atomic.Bool
-	handler   http.Handler
-	httpSrv   *http.Server
+	front   *server.Front
+	metrics *Metrics
+	shards  []*ShardClient
+	models  map[string]*proxyModel
+	names   []string
 }
 
 // NewProxy builds a proxy over the shard set. Like server.New, batch
@@ -129,38 +124,18 @@ func NewProxyContext(ctx context.Context, shards []Shard, models []ModelConfig, 
 		return nil, fmt.Errorf("distrib: proxy needs at least one shard")
 	}
 	opt = opt.withDefaults()
-	sopt := opt.Server
-	// Reuse the server's defaulting for the shared knobs.
-	if sopt.MaxBatch == 0 {
-		sopt.MaxBatch = 64
-	}
-	if sopt.RequestTimeout == 0 {
-		sopt.RequestTimeout = 30 * time.Second
-	}
-	if sopt.MaxInflight == 0 {
-		sopt.MaxInflight = 256
-	}
-	p := &Proxy{
-		opt:       opt,
-		serverOpt: sopt,
-		metrics:   newProxyMetrics(),
-		tracer: obs.NewTracer(obs.TracerOptions{
-			RingSize:      256,
-			SlowThreshold: sopt.SlowRequest,
-			SlowLogf:      sopt.SlowLogf,
-		}),
-		models:   make(map[string]*proxyModel),
-		inflight: make(chan struct{}, sopt.MaxInflight),
-	}
+	p := &Proxy{models: make(map[string]*proxyModel)}
+	p.front = server.NewFront("proxy", opt.Server, p.snapshot)
+	p.metrics = newProxyMetrics(p.front.Metrics())
 	ring, err := NewRing(len(shards), opt.VNodes, opt.RingSeed)
 	if err != nil {
 		return nil, err
 	}
 	p.shards = make([]*ShardClient, len(shards))
 	for i, sh := range shards {
-		p.shards[i] = NewShardClient(i, sh, opt, p.metrics.reg)
+		p.shards[i] = NewShardClient(i, sh, opt, p.metrics.Registry())
 	}
-	ctx = obs.WithTracer(ctx, p.tracer)
+	ctx = obs.WithTracer(ctx, p.front.Tracer())
 	for _, cfg := range models {
 		if _, dup := p.models[cfg.Name]; dup || !validModelRef(cfg.Name) {
 			return nil, fmt.Errorf("distrib: duplicate or invalid model reference %q", cfg.Name)
@@ -174,7 +149,7 @@ func NewProxyContext(ctx context.Context, shards []Shard, models []ModelConfig, 
 			return nil, err
 		}
 		pm := &proxyModel{cfg: cfg, co: co}
-		pm.coalesce = server.NewCoalescer(ctx, sopt.MaxBatch,
+		pm.coalesce = server.NewCoalescer(ctx, p.front.Options().MaxBatch,
 			func(ctx context.Context, reqs [][]float64) ([]densityItem, error) {
 				var ds []float64
 				cov := 1.0
@@ -196,13 +171,12 @@ func NewProxyContext(ctx context.Context, shards []Shard, models []ModelConfig, 
 		p.models[cfg.Name] = pm
 		p.names = append(p.names, cfg.Name)
 	}
-	p.handler = p.routes()
-	p.ready.Store(true)
+	p.routes()
 	return p, nil
 }
 
 // Handler returns the root handler (useful for httptest and embedding).
-func (p *Proxy) Handler() http.Handler { return p.handler }
+func (p *Proxy) Handler() http.Handler { return p.front.Handler() }
 
 // Metrics exposes the proxy's counters.
 func (p *Proxy) Metrics() *Metrics { return p.metrics }
@@ -217,50 +191,24 @@ func (p *Proxy) Coordinator(model string) *Coordinator {
 	return pm.co
 }
 
-// Serve accepts connections on l until Shutdown.
-func (p *Proxy) Serve(l net.Listener) error {
-	p.httpSrv = &http.Server{
-		Handler:           p.handler,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	return p.httpSrv.Serve(l)
-}
-
-// ListenAndServe listens on addr and serves until Shutdown.
-func (p *Proxy) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("distrib: %w", err)
-	}
-	return p.Serve(l)
-}
+// Serve accepts connections on l until Shutdown. It returns
+// http.ErrServerClosed after Shutdown — at once when Shutdown ran
+// first.
+func (p *Proxy) Serve(l net.Listener) error { return p.front.Serve(l) }
 
 // Shutdown drains the proxy: readiness flips to 503 and in-flight
 // requests run to completion bounded by ctx.
-func (p *Proxy) Shutdown(ctx context.Context) error {
-	p.ready.Store(false)
-	if p.httpSrv != nil {
-		return p.httpSrv.Shutdown(ctx)
-	}
-	return nil
-}
+func (p *Proxy) Shutdown(ctx context.Context) error { return p.front.Shutdown(ctx) }
 
-func (p *Proxy) routes() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", p.handleHealthz)
-	mux.HandleFunc("GET /readyz", p.handleReadyz)
-	mux.HandleFunc("GET /metrics", p.handleMetrics)
-	// The proxy mirrors the server's tenant surface: namespaced
-	// /v1/t/{tenant}/... routes plus the legacy /v1/... alias resolving
-	// the tenant from X-UDM-Tenant (default tenant when absent).
-	for _, pre := range []string{"/v1", "/v1/t/{tenant}"} {
-		mux.HandleFunc("GET "+pre+"/models", p.handleModels)
-		mux.HandleFunc("POST "+pre+"/models/{model}/classify", p.guard("classify", p.handleClassify))
-		mux.HandleFunc("POST "+pre+"/models/{model}/density", p.guard("density", p.handleDensity))
-		mux.HandleFunc("POST "+pre+"/models/{model}/outliers", p.guard("outliers", p.handleOutliers))
-		mux.HandleFunc("POST "+pre+"/models/{model}/ingest", p.guard("ingest", p.handleIngest))
-	}
-	return mux
+// routes mirrors the server's model surface on the front, namespaced
+// /v1/t/{tenant}/... routes plus the legacy /v1/... alias.
+func (p *Proxy) routes() {
+	f := p.front
+	f.Route("GET /models", p.handleModels)
+	f.Route("POST /models/{model}/classify", f.Guard("classify", p.handleClassify))
+	f.Route("POST /models/{model}/density", f.Guard("density", p.handleDensity))
+	f.Route("POST /models/{model}/outliers", f.Guard("outliers", p.handleOutliers))
+	f.Route("POST /models/{model}/ingest", f.Guard("ingest", p.handleIngest))
 }
 
 // validModelRef accepts a plain model name or a "tenant/name"
@@ -272,19 +220,6 @@ func validModelRef(ref string) bool {
 	return server.ValidIdent(ref)
 }
 
-// requestTenant mirrors the server's resolution order: path segment,
-// then X-UDM-Tenant, then the default tenant.
-func requestTenant(r *http.Request) (string, bool) {
-	t := r.PathValue("tenant")
-	if t == "" {
-		t = r.Header.Get(server.TenantHeader)
-	}
-	if t == "" {
-		return server.DefaultTenant, true
-	}
-	return t, server.ValidIdent(t)
-}
-
 // modelRef builds the registry key a (tenant, name) pair addresses:
 // default-tenant models are registered under their plain name.
 func modelRef(tenant, name string) string {
@@ -294,90 +229,17 @@ func modelRef(tenant, name string) string {
 	return tenant + "/" + name
 }
 
-// guard mirrors the single-node server's admission middleware: request
-// counting, load shedding at MaxInflight, the per-request timeout, and
-// the root fan-out trace span.
-func (p *Proxy) guard(endpoint string, h func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	counter := p.metrics.endpointCounter(endpoint)
-	latency := p.metrics.endpointLatency(endpoint)
-	spanName := "proxy." + endpoint
-	return func(w http.ResponseWriter, r *http.Request) {
-		p.metrics.Requests.Inc()
-		counter.Inc()
-		tenant, ok := requestTenant(r)
-		if !ok {
-			p.writeError(w, http.StatusBadRequest, "bad_tenant",
-				fmt.Sprintf("invalid tenant id %q (want 1-64 chars of [A-Za-z0-9._-])", r.PathValue("tenant")))
-			return
-		}
-		w.Header().Set(server.TenantHeader, tenant)
-		select {
-		case p.inflight <- struct{}{}:
-		default:
-			p.metrics.Shed.Inc()
-			w.Header().Set("Retry-After", "1")
-			p.writeError(w, http.StatusTooManyRequests, "overloaded",
-				fmt.Sprintf("more than %d requests in flight", p.serverOpt.MaxInflight))
-			return
-		}
-		defer func() { <-p.inflight }()
-		ctx, cancel := context.WithTimeout(r.Context(), p.serverOpt.RequestTimeout)
-		defer cancel()
-		ctx, sp := obs.StartSpan(obs.WithTracer(ctx, p.tracer), spanName)
-		defer sp.End()
-		sp.Attr("model", r.PathValue("model"))
-		start := time.Now()
-		h(w, r.WithContext(ctx))
-		d := time.Since(start)
-		p.metrics.Latency.Observe(d.Seconds())
-		latency.Observe(d.Seconds())
-	}
-}
-
-func (p *Proxy) writeError(w http.ResponseWriter, status int, code, msg string) {
-	p.metrics.Errors.Inc()
-	switch status {
-	case http.StatusGatewayTimeout:
-		p.metrics.Timeouts.Inc()
-	case server.StatusClientClosedRequest:
-		p.metrics.Canceled.Inc()
-	}
-	server.WriteErrorBody(w, status, code, msg)
-}
-
-func (p *Proxy) fail(w http.ResponseWriter, err error) {
-	status, code := server.StatusFor(err)
-	if status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	p.writeError(w, status, code, err.Error())
-}
-
-// decode parses a JSON request body with the server's strictness.
-func (p *Proxy) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		p.writeError(w, http.StatusBadRequest, "malformed_json", err.Error())
-		return false
-	}
-	return true
-}
-
 // model resolves the request's (tenant, model) pair against the
-// configured model references. The guard already validated and echoed
-// the tenant.
+// configured model references.
 func (p *Proxy) model(w http.ResponseWriter, r *http.Request) (*proxyModel, bool) {
-	tenant, ok := requestTenant(r)
+	tenant, ok := p.front.Tenant(w, r)
 	if !ok {
-		p.writeError(w, http.StatusBadRequest, "bad_tenant",
-			fmt.Sprintf("invalid tenant id %q", r.PathValue("tenant")))
 		return nil, false
 	}
 	name := r.PathValue("model")
 	pm, ok := p.models[modelRef(tenant, name)]
 	if !ok {
-		p.writeError(w, http.StatusNotFound, "model_not_found",
+		p.front.Error(w, http.StatusNotFound, "model_not_found",
 			fmt.Sprintf("no model named %q in tenant %q (have %v)", name, tenant, p.names))
 		return nil, false
 	}
@@ -404,42 +266,11 @@ func (p *Proxy) points(pm *proxyModel, point []float64, rows [][]float64) ([][]f
 	return rows, single, nil
 }
 
-func (p *Proxy) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (p *Proxy) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	if !p.ready.Load() {
-		server.WriteErrorBody(w, http.StatusServiceUnavailable, "draining", "proxy is shutting down")
-		return
-	}
-	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-}
-
-// handleMetrics serves the proxy metrics: a JSON snapshot by default,
-// the Prometheus exposition with ?format=prometheus (proxy registry —
-// including the shard-labeled series and breaker states — followed by
-// the process-wide default registry).
-func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prometheus" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := p.metrics.reg.WritePrometheus(w); err != nil {
-			return
-		}
-		_ = obs.Default().WritePrometheus(w)
-		return
-	}
-	server.WriteJSON(w, http.StatusOK, p.metrics.snapshot())
-}
-
 func (p *Proxy) handleModels(w http.ResponseWriter, r *http.Request) {
-	tenant, ok := requestTenant(r)
+	tenant, ok := p.front.Tenant(w, r)
 	if !ok {
-		p.writeError(w, http.StatusBadRequest, "bad_tenant",
-			fmt.Sprintf("invalid tenant id %q", r.PathValue("tenant")))
 		return
 	}
-	w.Header().Set(server.TenantHeader, tenant)
 	type info struct {
 		Name   string `json:"name"`
 		Kind   string `json:"kind"`
@@ -467,22 +298,22 @@ func (p *Proxy) handleClassify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if pm.cfg.Mode != ModeReplicated {
-		p.writeError(w, http.StatusBadRequest, "unsupported_kind",
+		p.front.Error(w, http.StatusBadRequest, "unsupported_kind",
 			fmt.Sprintf("model %q is %s; /classify needs a replicated transform model", pm.cfg.Name, pm.cfg.Mode))
 		return
 	}
 	var req server.ClassifyRequest
-	if !p.decode(w, r, &req) {
+	if !p.front.Decode(w, r, &req) {
 		return
 	}
 	rows, single, err := p.points(pm, req.Point, req.Points)
 	if err != nil {
-		p.fail(w, err)
+		p.front.Fail(w, err)
 		return
 	}
 	labels, err := pm.co.Classify(r.Context(), rows)
 	if err != nil {
-		p.fail(w, err)
+		p.front.Fail(w, err)
 		return
 	}
 	resp := server.ClassifyResponse{Labels: labels}
@@ -498,24 +329,24 @@ func (p *Proxy) handleDensity(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req server.DensityRequest
-	if !p.decode(w, r, &req) {
+	if !p.front.Decode(w, r, &req) {
 		return
 	}
 	rows, single, err := p.points(pm, req.Point, req.Points)
 	if err != nil {
-		p.fail(w, err)
+		p.front.Fail(w, err)
 		return
 	}
 	for _, j := range req.Dims {
 		if j < 0 || j >= pm.cfg.Dims {
-			p.fail(w, fmt.Errorf("distrib: subspace dimension %d out of range [0,%d): %w",
+			p.front.Fail(w, fmt.Errorf("distrib: subspace dimension %d out of range [0,%d): %w",
 				j, pm.cfg.Dims, udmerr.ErrDimensionMismatch))
 			return
 		}
 	}
 	acc, accOK := kernel.ParseAccuracy(req.Accuracy, req.Epsilon)
 	if !accOK {
-		p.fail(w, fmt.Errorf("distrib: accuracy %q with epsilon %v is not a valid mode: %w",
+		p.front.Fail(w, fmt.Errorf("distrib: accuracy %q with epsilon %v is not a valid mode: %w",
 			req.Accuracy, req.Epsilon, udmerr.ErrBadOption))
 		return
 	}
@@ -525,14 +356,14 @@ func (p *Proxy) handleDensity(w http.ResponseWriter, r *http.Request) {
 	}
 	bk, err := evalopt.ParseBackend(bkName)
 	if err != nil {
-		p.fail(w, fmt.Errorf("distrib: %w", err))
+		p.front.Fail(w, fmt.Errorf("distrib: %w", err))
 		return
 	}
 	if pm.cfg.Mode == ModePartitioned {
 		// The partial-term protocol is the exact engine: approximate
 		// accuracy modes and backends have no cross-shard merge story.
 		if !acc.IsExact() || (bk != evalopt.BackendDefault && bk != evalopt.BackendExact) {
-			p.fail(w, fmt.Errorf("distrib: model %q is partitioned; fan-out density is exact-only (got accuracy %q, backend %q): %w",
+			p.front.Fail(w, fmt.Errorf("distrib: model %q is partitioned; fan-out density is exact-only (got accuracy %q, backend %q): %w",
 				pm.cfg.Name, req.Accuracy, bkName, udmerr.ErrBadOption))
 			return
 		}
@@ -541,14 +372,14 @@ func (p *Proxy) handleDensity(w http.ResponseWriter, r *http.Request) {
 		if single && req.Dims == nil {
 			item, err := pm.coalesce.Do(r.Context(), rows[0])
 			if err != nil {
-				p.fail(w, err)
+				p.front.Fail(w, err)
 				return
 			}
 			ds, coverage = []float64{item.d}, item.coverage
 		} else {
 			ds, coverage, err = pm.co.Density(r.Context(), rows, req.Dims)
 			if err != nil {
-				p.fail(w, err)
+				p.front.Fail(w, err)
 				return
 			}
 		}
@@ -565,7 +396,7 @@ func (p *Proxy) handleDensity(w http.ResponseWriter, r *http.Request) {
 	}
 	ds, err := pm.co.ReplicatedDensity(r.Context(), rows, req)
 	if err != nil {
-		p.fail(w, err)
+		p.front.Fail(w, err)
 		return
 	}
 	resp := server.DensityResponse{Densities: ds}
@@ -581,17 +412,17 @@ func (p *Proxy) handleOutliers(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req server.OutliersRequest
-	if !p.decode(w, r, &req) {
+	if !p.front.Decode(w, r, &req) {
 		return
 	}
 	rows, _, err := p.points(pm, nil, req.Points)
 	if err != nil {
-		p.fail(w, err)
+		p.front.Fail(w, err)
 		return
 	}
 	for i, er := range req.Errors {
 		if er != nil && len(er) != pm.cfg.Dims {
-			p.fail(w, fmt.Errorf("distrib: error row %d has %d dims, model %q has %d: %w",
+			p.front.Fail(w, fmt.Errorf("distrib: error row %d has %d dims, model %q has %d: %w",
 				i, len(er), pm.cfg.Name, pm.cfg.Dims, udmerr.ErrDimensionMismatch))
 			return
 		}
@@ -599,7 +430,7 @@ func (p *Proxy) handleOutliers(w http.ResponseWriter, r *http.Request) {
 	if pm.cfg.Mode == ModeReplicated {
 		resp, err := pm.co.ForwardOutliers(r.Context(), req)
 		if err != nil {
-			p.fail(w, err)
+			p.front.Fail(w, err)
 			return
 		}
 		server.WriteJSON(w, http.StatusOK, resp)
@@ -610,7 +441,7 @@ func (p *Proxy) handleOutliers(w http.ResponseWriter, r *http.Request) {
 	// single node's.
 	head, err := pm.co.CurrentHead(r.Context())
 	if err != nil {
-		p.fail(w, err)
+		p.front.Fail(w, err)
 		return
 	}
 	opt := outlier.Options{
@@ -624,7 +455,7 @@ func (p *Proxy) handleOutliers(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := outlier.DetectStream(head.Sum, rows, req.Errors, opt)
 	if err != nil {
-		p.fail(w, err)
+		p.front.Fail(w, err)
 		return
 	}
 	scores := make([]float64, len(res.Scores))
@@ -655,38 +486,38 @@ func (p *Proxy) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if pm.cfg.Mode != ModePartitioned {
-		p.writeError(w, http.StatusBadRequest, "unsupported_kind",
+		p.front.Error(w, http.StatusBadRequest, "unsupported_kind",
 			fmt.Sprintf("model %q is %s; /ingest needs a partitioned stream model", pm.cfg.Name, pm.cfg.Mode))
 		return
 	}
 	var req server.IngestRequest
-	if !p.decode(w, r, &req) {
+	if !p.front.Decode(w, r, &req) {
 		return
 	}
 	if _, _, err := p.points(pm, nil, req.Points); err != nil {
-		p.fail(w, err)
+		p.front.Fail(w, err)
 		return
 	}
 	if req.Errors != nil && len(req.Errors) != len(req.Points) {
-		p.fail(w, fmt.Errorf("distrib: %d error rows for %d points: %w",
+		p.front.Fail(w, fmt.Errorf("distrib: %d error rows for %d points: %w",
 			len(req.Errors), len(req.Points), udmerr.ErrDimensionMismatch))
 		return
 	}
 	if req.Timestamps != nil && len(req.Timestamps) != len(req.Points) {
-		p.fail(w, fmt.Errorf("distrib: %d timestamps for %d points: %w",
+		p.front.Fail(w, fmt.Errorf("distrib: %d timestamps for %d points: %w",
 			len(req.Timestamps), len(req.Points), udmerr.ErrDimensionMismatch))
 		return
 	}
 	for i, er := range req.Errors {
 		if er != nil && len(er) != pm.cfg.Dims {
-			p.fail(w, fmt.Errorf("distrib: error row %d has %d dims, model %q has %d: %w",
+			p.front.Fail(w, fmt.Errorf("distrib: error row %d has %d dims, model %q has %d: %w",
 				i, len(er), pm.cfg.Name, pm.cfg.Dims, udmerr.ErrDimensionMismatch))
 			return
 		}
 	}
 	resp, err := pm.co.Ingest(r.Context(), req)
 	if err != nil {
-		p.fail(w, err)
+		p.front.Fail(w, err)
 		return
 	}
 	server.WriteJSON(w, http.StatusOK, resp)

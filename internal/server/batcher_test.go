@@ -98,11 +98,14 @@ func waitGroup(t *testing.T, wg *sync.WaitGroup, what string) {
 	}
 }
 
+// testMetrics builds a server's metrics on a throwaway front.
+func testMetrics() *Metrics { return newMetrics(NewFront("server", Options{}, nil)) }
+
 // TestBatcherIdleFlushesAtOnce checks that a lone submission to an idle
 // coalescer reaches run with no other event: no second arrival, no
 // timer, no drain.
 func TestBatcherIdleFlushesAtOnce(t *testing.T) {
-	m := newMetrics()
+	m := testMetrics()
 	g := newGatedRun()
 	b := newBatcher(context.Background(), 64, m, g.run)
 	done := make(chan int, 1)
@@ -243,7 +246,7 @@ func TestBatcherGroupCommitBatches(t *testing.T) {
 // adds up — the race-detector test of the lead handoff.
 func TestBatcherConcurrentDo(t *testing.T) {
 	const goroutines, perG, maxBatch = 32, 100, 8
-	m := newMetrics()
+	m := testMetrics()
 	var over atomic.Int32
 	b := newBatcher(context.Background(), maxBatch, m,
 		func(_ context.Context, reqs []int) ([]int, error) {

@@ -34,11 +34,6 @@ type (
 	ErrorBody        = errorBody
 )
 
-// StatusFor maps an error to (HTTP status, stable wire code) via
-// errors.Is on the module's sentinels — exported for layers that speak
-// the same wire protocol.
-func StatusFor(err error) (int, string) { return statusFor(err) }
-
 // SentinelFor inverts the wire mapping: the sentinel error a stable
 // code stands for, or nil for codes with no sentinel (e.g.
 // "internal"). Clients of the protocol wrap the sentinel so their
@@ -76,12 +71,6 @@ func SentinelFor(code string) error {
 
 // WriteJSON writes v as a JSON response with the given status.
 func WriteJSON(w http.ResponseWriter, status int, v any) { writeJSON(w, status, v) }
-
-// WriteErrorBody writes the uniform error envelope. Unlike the
-// internal helper it touches no metrics — callers own their counters.
-func WriteErrorBody(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, errorBody{Error: errorDetail{Code: code, Message: msg}})
-}
 
 // Guard bundles one target's resilience stack — the shared
 // decorrelated-jitter retrier and a circuit breaker — for callers

@@ -419,7 +419,7 @@ func TestBatcherLateErrorDoesNotMaskCancellation(t *testing.T) {
 func TestRetrierBackoffDeterministic(t *testing.T) {
 	schedule := func(seed int64) []time.Duration {
 		opt := Options{RetrySeed: seed, RetryBase: time.Millisecond, RetryCap: 50 * time.Millisecond}.withDefaults()
-		r := newRetrier(opt, newMetrics().Retries)
+		r := newRetrier(opt, testMetrics().Retries)
 		prev := r.base
 		out := make([]time.Duration, 16)
 		for i := range out {
@@ -455,7 +455,7 @@ func TestRetrierBackoffDeterministic(t *testing.T) {
 // required consecutive successes.
 func TestBreakerStateMachine(t *testing.T) {
 	opt := Options{BreakerThreshold: 3, BreakerCooldown: time.Minute, BreakerProbes: 2}.withDefaults()
-	b := newBreaker("m", opt, newMetrics().reg)
+	b := newBreaker("m", opt, testMetrics().reg)
 	now := time.Unix(0, 0)
 	b.now = func() time.Time { return now }
 

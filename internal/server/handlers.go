@@ -12,7 +12,6 @@ import (
 	"udm/internal/evalopt"
 	"udm/internal/kde"
 	"udm/internal/kernel"
-	"udm/internal/obs"
 	"udm/internal/outlier"
 	"udm/internal/udmerr"
 )
@@ -21,18 +20,6 @@ import (
 // client that disconnected before the response was ready. The client
 // never sees it; it keeps access logs honest.
 const StatusClientClosedRequest = 499
-
-// errorBody is the uniform error envelope: a stable machine-readable
-// code (derived from the library's sentinel errors) plus a human
-// message.
-type errorBody struct {
-	Error errorDetail `json:"error"`
-}
-
-type errorDetail struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
 
 // statusFor maps an error to (HTTP status, stable code) via errors.Is
 // on the module's sentinel errors — the serving-layer payoff of the
@@ -74,29 +61,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, m *Metrics, status int, code, msg string) {
-	if m != nil && status >= 400 {
-		m.Errors.Add(1)
-		switch status {
-		case http.StatusGatewayTimeout:
-			m.Timeouts.Add(1)
-		case StatusClientClosedRequest:
-			m.Canceled.Add(1)
-		}
-	}
-	writeJSON(w, status, errorBody{Error: errorDetail{Code: code, Message: msg}})
-}
-
-func (s *Server) fail(w http.ResponseWriter, err error) {
-	status, code := statusFor(err)
-	if status == http.StatusServiceUnavailable {
-		// Breaker refusals clear on their own; tell well-behaved clients
-		// when to come back.
-		w.Header().Set("Retry-After", "1")
-	}
-	writeError(w, s.metrics, status, code, err.Error())
-}
-
 // evalRetry runs one direct (non-coalesced) model evaluation under the
 // eval fault point, the slot's circuit breaker, and the server's retry
 // budget — the same resilience stack the batched paths get inside their
@@ -117,32 +81,19 @@ func evalRetry[T any](ctx context.Context, s *Server, br *breaker, op func(conte
 // so every model response is pinned to exactly one version on the
 // wire.
 func (s *Server) model(w http.ResponseWriter, r *http.Request) (*servedModel, bool) {
-	tenant, ok := requestTenant(r)
+	tenant, ok := s.front.Tenant(w, r)
 	if !ok {
-		s.badTenant(w, r.PathValue("tenant"))
 		return nil, false
 	}
-	w.Header().Set(TenantHeader, tenant)
 	name := r.PathValue("model")
 	sm, ok := s.reg.Resolve(tenant, name)
 	if !ok {
-		writeError(w, s.metrics, http.StatusNotFound, "model_not_found",
+		s.front.Error(w, http.StatusNotFound, "model_not_found",
 			fmt.Sprintf("no model named %q in tenant %q (have %v)", name, tenant, s.reg.TenantNames(tenant)))
 		return nil, false
 	}
 	w.Header().Set(ModelVersionHeader, strconv.FormatUint(sm.gen, 10))
 	return sm, true
-}
-
-// decode parses a JSON request body, mapping malformed input to a 400.
-func decode(w http.ResponseWriter, r *http.Request, m *Metrics, v any) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, m, http.StatusBadRequest, "malformed_json", err.Error())
-		return false
-	}
-	return true
 }
 
 // points normalizes the single-point / multi-point request shape and
@@ -166,50 +117,18 @@ func points(m *Model, point []float64, rows [][]float64) ([][]float64, bool, err
 	return rows, single, nil
 }
 
-// --- health and introspection ---
-
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	if !s.ready.Load() {
-		writeError(w, nil, http.StatusServiceUnavailable, "draining", "server is shutting down")
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-}
-
-// handleMetrics serves the metrics document. The default JSON shape
-// predates the obs registry and its key set is frozen;
-// ?format=prometheus renders the text exposition instead: the
-// server-scoped registry followed by the process-wide default registry
-// (library and runtime series). The two registries use disjoint
-// metric-name prefixes, so concatenation is a valid exposition.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prometheus" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := s.metrics.reg.WritePrometheus(w); err != nil {
-			return // client went away mid-scrape; nothing to salvage
-		}
-		_ = obs.Default().WritePrometheus(w)
-		return
-	}
-	snap := s.metrics.snapshot()
-	snap["cache_entries"] = s.cache.len()
-	writeJSON(w, http.StatusOK, snap)
-}
+// --- introspection (Options.Debug) ---
 
 // handleTraces dumps the tracer's recent-traces ring (newest last).
 func (s *Server) handleTraces(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"traces": s.tracer.Recent()})
+	writeJSON(w, http.StatusOK, map[string]any{"traces": s.Tracer().Recent()})
 }
 
 // handleSlow dumps spans that exceeded the slow-request threshold.
 func (s *Server) handleSlow(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"threshold_ns": s.opt.SlowRequest.Nanoseconds(),
-		"slow":         s.tracer.Slow(),
+		"slow":         s.Tracer().Slow(),
 	})
 }
 
@@ -223,12 +142,10 @@ type modelInfo struct {
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
-	tenant, ok := requestTenant(r)
+	tenant, ok := s.front.Tenant(w, r)
 	if !ok {
-		s.badTenant(w, r.PathValue("tenant"))
 		return
 	}
-	w.Header().Set(TenantHeader, tenant)
 	names := s.reg.TenantNames(tenant)
 	out := make([]modelInfo, 0, len(names))
 	for _, n := range names {
@@ -266,17 +183,17 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	m := sm.m
 	clf := m.Classifier()
 	if clf == nil {
-		writeError(w, s.metrics, http.StatusBadRequest, "unsupported_kind",
+		s.front.Error(w, http.StatusBadRequest, "unsupported_kind",
 			fmt.Sprintf("model %q is a %s; /classify needs a transform model", m.Name(), m.Kind()))
 		return
 	}
 	var req classifyRequest
-	if !decode(w, r, s.metrics, &req) {
+	if !s.front.Decode(w, r, &req) {
 		return
 	}
 	rows, single, err := points(m, req.Point, req.Points)
 	if err != nil {
-		s.fail(w, err)
+		s.front.Fail(w, err)
 		return
 	}
 	var labels []int
@@ -285,7 +202,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		// call on the worker pool.
 		label, err := s.runtime(sm).classify.do(r.Context(), rows[0])
 		if err != nil {
-			s.fail(w, err)
+			s.front.Fail(w, err)
 			return
 		}
 		labels = []int{label}
@@ -294,7 +211,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 			return clf.ClassifyBatchContext(ctx, rows, s.opt.Workers)
 		})
 		if err != nil {
-			s.fail(w, err)
+			s.front.Fail(w, err)
 			return
 		}
 	}
@@ -346,24 +263,24 @@ func (s *Server) handleDensity(w http.ResponseWriter, r *http.Request) {
 	}
 	m := sm.m
 	var req densityRequest
-	if !decode(w, r, s.metrics, &req) {
+	if !s.front.Decode(w, r, &req) {
 		return
 	}
 	rows, single, err := points(m, req.Point, req.Points)
 	if err != nil {
-		s.fail(w, err)
+		s.front.Fail(w, err)
 		return
 	}
 	for _, j := range req.Dims {
 		if j < 0 || j >= m.Dims() {
-			s.fail(w, fmt.Errorf("server: subspace dimension %d out of range [0,%d): %w",
+			s.front.Fail(w, fmt.Errorf("server: subspace dimension %d out of range [0,%d): %w",
 				j, m.Dims(), udmerr.ErrDimensionMismatch))
 			return
 		}
 	}
 	acc, ok := kernel.ParseAccuracy(req.Accuracy, req.Epsilon)
 	if !ok {
-		s.fail(w, fmt.Errorf("server: accuracy %q with epsilon %v is not a valid mode (want \"exact\" or \"approx\" with epsilon > 0): %w",
+		s.front.Fail(w, fmt.Errorf("server: accuracy %q with epsilon %v is not a valid mode (want \"exact\" or \"approx\" with epsilon > 0): %w",
 			req.Accuracy, req.Epsilon, udmerr.ErrBadOption))
 		return
 	}
@@ -377,7 +294,7 @@ func (s *Server) handleDensity(w http.ResponseWriter, r *http.Request) {
 	}
 	bk, err := evalopt.ParseBackend(bkName)
 	if err != nil {
-		s.fail(w, fmt.Errorf("server: %w", err))
+		s.front.Fail(w, fmt.Errorf("server: %w", err))
 		return
 	}
 	w.Header().Set("X-UDM-Accuracy", acc.String())
@@ -387,7 +304,7 @@ func (s *Server) handleDensity(w http.ResponseWriter, r *http.Request) {
 	if single {
 		d, cached, degraded, err := s.densityOne(r.Context(), sm, rows[0], req.Dims, bk, acc)
 		if err != nil {
-			s.fail(w, err)
+			s.front.Fail(w, err)
 			return
 		}
 		if degraded {
@@ -404,7 +321,7 @@ func (s *Server) handleDensity(w http.ResponseWriter, r *http.Request) {
 		return kde.DensityBatchOpts(est, rows, req.Dims, kde.BatchOptions{Ctx: ctx, Workers: s.opt.Workers})
 	})
 	if err != nil {
-		s.fail(w, err)
+		s.front.Fail(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, densityResponse{Densities: ds})
@@ -500,24 +417,24 @@ func (s *Server) handleOutliers(w http.ResponseWriter, r *http.Request) {
 	}
 	m := sm.m
 	var req outliersRequest
-	if !decode(w, r, s.metrics, &req) {
+	if !s.front.Decode(w, r, &req) {
 		return
 	}
 	rows, _, err := points(m, nil, req.Points)
 	if err != nil {
-		s.fail(w, err)
+		s.front.Fail(w, err)
 		return
 	}
 	for i, er := range req.Errors {
 		if er != nil && len(er) != m.Dims() {
-			s.fail(w, fmt.Errorf("server: error row %d has %d dims, model %q has %d: %w",
+			s.front.Fail(w, fmt.Errorf("server: error row %d has %d dims, model %q has %d: %w",
 				i, len(er), m.Name(), m.Dims(), udmerr.ErrDimensionMismatch))
 			return
 		}
 	}
 	sum, err := m.summarizer()
 	if err != nil {
-		s.fail(w, err)
+		s.front.Fail(w, err)
 		return
 	}
 	opt := outlier.Options{
@@ -535,7 +452,7 @@ func (s *Server) handleOutliers(w http.ResponseWriter, r *http.Request) {
 		return outlier.DetectStream(sum, rows, req.Errors, opt)
 	})
 	if err != nil {
-		s.fail(w, err)
+		s.front.Fail(w, err)
 		return
 	}
 	// Scores are -log density, so a point far from every cluster scores
@@ -586,32 +503,32 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	m := sm.m
 	eng := m.Engine()
 	if eng == nil {
-		writeError(w, s.metrics, http.StatusBadRequest, "unsupported_kind",
+		s.front.Error(w, http.StatusBadRequest, "unsupported_kind",
 			fmt.Sprintf("model %q is a %s; /ingest needs a stream model", m.Name(), m.Kind()))
 		return
 	}
 	var req ingestRequest
-	if !decode(w, r, s.metrics, &req) {
+	if !s.front.Decode(w, r, &req) {
 		return
 	}
 	rows, _, err := points(m, nil, req.Points)
 	if err != nil {
-		s.fail(w, err)
+		s.front.Fail(w, err)
 		return
 	}
 	if req.Errors != nil && len(req.Errors) != len(rows) {
-		s.fail(w, fmt.Errorf("server: %d error rows for %d points: %w",
+		s.front.Fail(w, fmt.Errorf("server: %d error rows for %d points: %w",
 			len(req.Errors), len(rows), udmerr.ErrDimensionMismatch))
 		return
 	}
 	if req.Timestamps != nil && len(req.Timestamps) != len(rows) {
-		s.fail(w, fmt.Errorf("server: %d timestamps for %d points: %w",
+		s.front.Fail(w, fmt.Errorf("server: %d timestamps for %d points: %w",
 			len(req.Timestamps), len(rows), udmerr.ErrDimensionMismatch))
 		return
 	}
 	for i, er := range req.Errors {
 		if er != nil && len(er) != m.Dims() {
-			s.fail(w, fmt.Errorf("server: error row %d has %d dims, model %q has %d: %w",
+			s.front.Fail(w, fmt.Errorf("server: error row %d has %d dims, model %q has %d: %w",
 				i, len(er), m.Name(), m.Dims(), udmerr.ErrDimensionMismatch))
 			return
 		}
@@ -619,9 +536,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// The resident-point quota is checked against the tenant's current
 	// footprint plus this batch; a batch that would cross the cap is
 	// refused whole rather than partially applied.
-	if q := s.quotaFor(sm.tenant); q.MaxPoints > 0 &&
+	if q := s.opt.quota(sm.tenant); q.MaxPoints > 0 &&
 		s.reg.Points(sm.tenant, "")+int64(len(rows)) > q.MaxPoints {
-		writeError(w, s.metrics, http.StatusTooManyRequests, "quota_exceeded",
+		s.front.Error(w, http.StatusTooManyRequests, "quota_exceeded",
 			fmt.Sprintf("ingesting %d points would exceed tenant %q point quota (%d)",
 				len(rows), sm.tenant, q.MaxPoints))
 		return

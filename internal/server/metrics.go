@@ -2,7 +2,6 @@ package server
 
 import (
 	"math"
-	"time"
 
 	"udm/internal/obs"
 )
@@ -17,26 +16,19 @@ var latencyBuckets = obs.ExpBuckets(1e-6, 2, 27)
 // MaxBatch and beyond.
 var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
-// Metrics holds the server's counters, now backed by a per-server
-// obs.Registry: the same handles feed both the legacy JSON /metrics
-// document (snapshot, key-compatible with the pre-obs shape) and the
-// Prometheus exposition (/metrics?format=prometheus). Fields keep
-// their historical names and Load/Add surface so embedders and tests
-// are unaffected.
+// Metrics holds the server's counters, backed by the front's
+// per-server obs.Registry: the same handles feed both the legacy JSON
+// /metrics document (snapshot, key-compatible with the pre-obs shape)
+// and the Prometheus exposition (/metrics?format=prometheus). Fields
+// keep their historical names and Load/Add surface so embedders and
+// tests are unaffected; the request outcomes and latency come from
+// the embedded FrontMetrics.
 //
 // Note: the counters honor the global obs enable gate — under
 // UDM_OBS=off they stop recording (the gate exists to benchmark the
 // uninstrumented baseline, not for production use).
 type Metrics struct {
-	start time.Time
-	reg   *obs.Registry
-
-	// Request outcomes.
-	Requests *obs.Counter // every request to a /v1 endpoint
-	Errors   *obs.Counter // 4xx/5xx responses
-	Shed     *obs.Counter // rejected with 429 by the inflight gate
-	Timeouts *obs.Counter // 504s from the per-request deadline
-	Canceled *obs.Counter // clients that disconnected mid-request
+	*FrontMetrics
 
 	// Per-endpoint request counts (labeled series of one family).
 	// PartialRequests (the shard-side fan-out endpoint) is
@@ -67,32 +59,22 @@ type Metrics struct {
 
 	// Hot-swap lifecycle (labeled series of one family; Prometheus-only
 	// like the rest of the post-freeze metrics). Per-tenant request and
-	// shed counters are registered lazily per tenant id (tenancy.go).
+	// shed counters are registered lazily per tenant id by the front.
 	SwapStaged    *obs.Counter
 	SwapPromotes  *obs.Counter
 	SwapRollbacks *obs.Counter
-
-	// Latency of served /v1 requests (excluding shed ones), seconds.
-	Latency *obs.Histogram
 }
 
-func newMetrics() *Metrics {
-	reg := obs.NewRegistry()
-	m := &Metrics{
-		start: time.Now(),
-		reg:   reg,
+func newMetrics(f *Front) *Metrics {
+	reg := f.metrics.reg
+	return &Metrics{
+		FrontMetrics: f.metrics,
 
-		Requests: reg.Counter("udm_server_requests_total", "requests to /v1 endpoints"),
-		Errors:   reg.Counter("udm_server_errors_total", "4xx/5xx responses"),
-		Shed:     reg.Counter("udm_server_shed_total", "requests shed with 429 by the inflight gate"),
-		Timeouts: reg.Counter("udm_server_timeouts_total", "504 responses from the per-request deadline"),
-		Canceled: reg.Counter("udm_server_canceled_total", "clients that disconnected mid-request"),
-
-		ClassifyRequests: reg.Counter("udm_server_endpoint_requests_total", "requests by endpoint", "endpoint", "classify"),
-		DensityRequests:  reg.Counter("udm_server_endpoint_requests_total", "requests by endpoint", "endpoint", "density"),
-		OutlierRequests:  reg.Counter("udm_server_endpoint_requests_total", "requests by endpoint", "endpoint", "outliers"),
-		IngestRequests:   reg.Counter("udm_server_endpoint_requests_total", "requests by endpoint", "endpoint", "ingest"),
-		PartialRequests:  reg.Counter("udm_server_endpoint_requests_total", "requests by endpoint", "endpoint", "partial"),
+		ClassifyRequests: f.endpointRequests("classify"),
+		DensityRequests:  f.endpointRequests("density"),
+		OutlierRequests:  f.endpointRequests("outliers"),
+		IngestRequests:   f.endpointRequests("ingest"),
+		PartialRequests:  f.endpointRequests("partial"),
 
 		BatchFlushes: reg.Counter("udm_server_batch_flushes_total", "coalesced batch executions"),
 		BatchedItems: reg.Counter("udm_server_batched_items_total", "single-point requests that rode a batch"),
@@ -110,22 +92,7 @@ func newMetrics() *Metrics {
 		SwapStaged:    reg.Counter("udm_server_swaps_total", "hot-swap lifecycle operations", "op", "stage"),
 		SwapPromotes:  reg.Counter("udm_server_swaps_total", "hot-swap lifecycle operations", "op", "promote"),
 		SwapRollbacks: reg.Counter("udm_server_swaps_total", "hot-swap lifecycle operations", "op", "rollback"),
-
-		Latency: reg.Histogram("udm_server_latency_seconds", "latency of served /v1 requests", latencyBuckets),
 	}
-	reg.GaugeFunc("udm_server_uptime_seconds", "seconds since the server was built",
-		func() float64 { return time.Since(m.start).Seconds() })
-	return m
-}
-
-// Registry exposes the server-scoped metrics registry (per-endpoint
-// series are registered on it lazily by the request guard).
-func (m *Metrics) Registry() *obs.Registry { return m.reg }
-
-// endpointLatency get-or-creates the per-endpoint latency histogram.
-func (m *Metrics) endpointLatency(endpoint string) *obs.Histogram {
-	return m.reg.Histogram("udm_server_request_seconds", "request latency by endpoint",
-		latencyBuckets, "endpoint", endpoint)
 }
 
 // usec converts a histogram bound or statistic in seconds to integer
@@ -146,28 +113,21 @@ func (m *Metrics) snapshot() map[string]any {
 	if flushes > 0 {
 		avgBatch = float64(items) / float64(flushes)
 	}
-	return map[string]any{
-		"uptime_seconds":    time.Since(m.start).Seconds(),
-		"requests":          m.Requests.Load(),
-		"errors":            m.Errors.Load(),
-		"shed":              m.Shed.Load(),
-		"timeouts":          m.Timeouts.Load(),
-		"canceled":          m.Canceled.Load(),
-		"classify_requests": m.ClassifyRequests.Load(),
-		"density_requests":  m.DensityRequests.Load(),
-		"outlier_requests":  m.OutlierRequests.Load(),
-		"ingest_requests":   m.IngestRequests.Load(),
-		"ingested_rows":     m.IngestedRows.Load(),
-		"batch_flushes":     flushes,
-		"batched_items":     items,
-		"avg_batch_size":    avgBatch,
-		"cache_hits":        hits,
-		"cache_misses":      misses,
-		"cache_hit_rate":    hitRate,
-		"latency_count":     m.Latency.Count(),
-		"latency_mean_us":   usec(m.Latency.Mean()),
-		"latency_p50_us":    usec(m.Latency.Quantile(0.50)),
-		"latency_p90_us":    usec(m.Latency.Quantile(0.90)),
-		"latency_p99_us":    usec(m.Latency.Quantile(0.99)),
-	}
+	doc := m.Snapshot()
+	doc["classify_requests"] = m.ClassifyRequests.Load()
+	doc["density_requests"] = m.DensityRequests.Load()
+	doc["outlier_requests"] = m.OutlierRequests.Load()
+	doc["ingest_requests"] = m.IngestRequests.Load()
+	doc["ingested_rows"] = m.IngestedRows.Load()
+	doc["batch_flushes"] = flushes
+	doc["batched_items"] = items
+	doc["avg_batch_size"] = avgBatch
+	doc["cache_hits"] = hits
+	doc["cache_misses"] = misses
+	doc["cache_hit_rate"] = hitRate
+	doc["latency_mean_us"] = usec(m.Latency.Mean())
+	doc["latency_p50_us"] = usec(m.Latency.Quantile(0.50))
+	doc["latency_p90_us"] = usec(m.Latency.Quantile(0.90))
+	doc["latency_p99_us"] = usec(m.Latency.Quantile(0.99))
+	return doc
 }

@@ -2,13 +2,11 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"udm/internal/kde"
@@ -164,18 +162,15 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Server is the HTTP serving layer: routing, admission control,
-// micro-batching, caching, metrics and lifecycle over a model
-// registry.
+// Server is the single-node serving tier: routing, micro-batching,
+// caching and metrics over a model registry, behind the shared
+// admission front (front.go).
 type Server struct {
-	reg      *Registry
-	opt      Options
-	metrics  *Metrics
-	tracer   *obs.Tracer
-	cache    *lruCache
-	inflight chan struct{}
-	handler  http.Handler
-	ready    atomic.Bool
+	reg     *Registry
+	opt     Options
+	front   *Front
+	metrics *Metrics
+	cache   *lruCache
 
 	// Resilience: shared retry pacing, one breaker per (tenant, model)
 	// slot — shared across that slot's versions, created lazily — and
@@ -192,13 +187,6 @@ type Server struct {
 	// idempotency key so a retry of a lost response never re-applies
 	// records (idempotency.go).
 	ingestSeen *ingestDedup
-
-	// tenantStates holds each tenant's fair-share admission ledger and
-	// labeled counters, created on first sight (tenancy.go).
-	tnMu         sync.Mutex
-	tenantStates map[string]*tenantState
-
-	httpSrv *http.Server
 
 	// runtimes maps each published *Model instance — not its name — to
 	// its coalescing batchers, so a micro-batch only ever contains
@@ -236,28 +224,25 @@ func NewContext(ctx context.Context, reg *Registry, opt Options) *Server {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opt = opt.withDefaults()
 	s := &Server{
-		reg:     reg,
-		opt:     opt,
-		metrics: newMetrics(),
-		tracer: obs.NewTracer(obs.TracerOptions{
-			RingSize:      256,
-			SlowThreshold: opt.SlowRequest,
-			SlowLogf:      opt.SlowLogf,
-		}),
-		cache:        newLRUCache(opt.CacheSize),
-		inflight:     make(chan struct{}, opt.MaxInflight),
-		breakers:     make(map[string]*breaker),
-		stale:        newLRUCache(opt.CacheSize),
-		ingestSeen:   newIngestDedup(),
-		tenantStates: make(map[string]*tenantState),
-		runtimes:     make(map[*Model]*modelBatchers),
+		reg:        reg,
+		breakers:   make(map[string]*breaker),
+		ingestSeen: newIngestDedup(),
+		runtimes:   make(map[*Model]*modelBatchers),
 	}
-	s.retry = newRetrier(opt, s.metrics.Retries)
+	s.front = NewFront("server", opt, func() map[string]any {
+		snap := s.metrics.snapshot()
+		snap["cache_entries"] = s.cache.len()
+		return snap
+	})
+	s.opt = s.front.Options()
+	s.metrics = newMetrics(s.front)
+	s.cache = newLRUCache(s.opt.CacheSize)
+	s.stale = newLRUCache(s.opt.CacheSize)
+	s.retry = newRetrier(s.opt, s.metrics.Retries)
 	s.metrics.reg.GaugeFunc("udm_server_cache_entries", "live density-cache entries",
 		func() float64 { return float64(s.cache.len()) })
-	if opt.Debug {
+	if s.opt.Debug {
 		obs.RegisterRuntimeGauges(s.metrics.reg)
 	}
 	// Batch flushes run under the server lifecycle context, not any one
@@ -265,9 +250,8 @@ func NewContext(ctx context.Context, reg *Registry, opt Options) *Server {
 	// the same rings as request spans. Batchers themselves are built
 	// lazily per published model instance (see runtime) — models now
 	// appear and swap at runtime, not only before the server starts.
-	s.baseCtx = obs.WithTracer(ctx, s.tracer)
-	s.handler = s.routes()
-	s.ready.Store(true)
+	s.baseCtx = obs.WithTracer(ctx, s.front.Tracer())
+	s.routes()
 	return s
 }
 
@@ -342,7 +326,7 @@ func (s *Server) retire(m *Model) {
 }
 
 // Handler returns the root handler (useful for httptest and embedding).
-func (s *Server) Handler() http.Handler { return s.handler }
+func (s *Server) Handler() http.Handler { return s.front.Handler() }
 
 // Metrics exposes the server's counters (useful for tests and
 // embedding).
@@ -350,136 +334,53 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Tracer exposes the server's span tracer: request spans (and the
 // library spans they parent) land in its recent and slow rings.
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
+func (s *Server) Tracer() *obs.Tracer { return s.front.Tracer() }
 
 // Serve accepts connections on l until Shutdown. It returns
-// http.ErrServerClosed after a clean shutdown, like net/http.
-func (s *Server) Serve(l net.Listener) error {
-	s.httpSrv = &http.Server{
-		Handler:           s.handler,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	return s.httpSrv.Serve(l)
-}
-
-// ListenAndServe listens on addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("server: %w", err)
-	}
-	return s.Serve(l)
-}
+// http.ErrServerClosed after Shutdown, like net/http — at once when
+// Shutdown ran first.
+func (s *Server) Serve(l net.Listener) error { return s.front.Serve(l) }
 
 // Shutdown drains the server gracefully: readiness flips to 503 (so
 // load balancers stop routing here), in-flight requests run to
 // completion (bounded by ctx), and every stream model is checkpointed
 // via its engine's Save. It returns the first error encountered.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.ready.Store(false)
-	var first error
-	if s.httpSrv != nil {
-		if err := s.httpSrv.Shutdown(ctx); err != nil && first == nil {
-			first = err
-		}
-	}
+	first := s.front.Shutdown(ctx)
 	if err := s.reg.Checkpoint(); err != nil && first == nil {
 		first = err
 	}
 	return first
 }
 
-// routes wires the endpoint table.
-func (s *Server) routes() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	// Every model route is registered twice: under the tenant namespace
-	// /v1/t/{tenant}/models/... and under the legacy /v1/models/...
-	// alias, which resolves the tenant from X-UDM-Tenant (defaulting to
-	// the default tenant) — pre-tenancy clients keep working unchanged.
-	for _, p := range []string{"/v1", "/v1/t/{tenant}"} {
-		mux.HandleFunc("GET "+p+"/models", s.handleModels)
-		mux.HandleFunc("POST "+p+"/models/{model}/classify", s.guard("classify", s.metrics.ClassifyRequests, s.handleClassify))
-		mux.HandleFunc("POST "+p+"/models/{model}/density", s.guard("density", s.metrics.DensityRequests, s.handleDensity))
-		mux.HandleFunc("POST "+p+"/models/{model}/outliers", s.guard("outliers", s.metrics.OutlierRequests, s.handleOutliers))
-		mux.HandleFunc("POST "+p+"/models/{model}/ingest", s.guard("ingest", s.metrics.IngestRequests, s.handleIngest))
-		// Hot-swap lifecycle: stage an uploaded artifact, promote it
-		// atomically, roll back to the retired version.
-		mux.HandleFunc("PUT "+p+"/models/{model}", s.handleStage)
-		mux.HandleFunc("POST "+p+"/models/{model}/promote", s.handlePromote)
-		mux.HandleFunc("POST "+p+"/models/{model}/rollback", s.handleRollback)
-		// Distributed-serving protocol (internal/distrib): summary pull,
-		// partial-term fan-out, and replica catch-up.
-		mux.HandleFunc("GET "+p+"/models/{model}/summary", s.handleSummary)
-		mux.HandleFunc("GET "+p+"/models/{model}/checkpoint", s.handleCheckpoint)
-		mux.HandleFunc("GET "+p+"/models/{model}/tail", s.handleTail)
-		mux.HandleFunc("POST "+p+"/models/{model}/partial", s.guard("partial", s.metrics.PartialRequests, s.handlePartial))
-	}
+// routes wires the endpoint table onto the front. Every model route
+// is served under the tenant namespace /v1/t/{tenant}/models/... and
+// the legacy /v1/models/... alias (see Front.Route).
+func (s *Server) routes() {
+	f := s.front
+	f.Route("GET /models", s.handleModels)
+	f.Route("POST /models/{model}/classify", f.Guard("classify", s.handleClassify))
+	f.Route("POST /models/{model}/density", f.Guard("density", s.handleDensity))
+	f.Route("POST /models/{model}/outliers", f.Guard("outliers", s.handleOutliers))
+	f.Route("POST /models/{model}/ingest", f.Guard("ingest", s.handleIngest))
+	// Hot-swap lifecycle: stage an uploaded artifact, promote it
+	// atomically, roll back to the retired version.
+	f.Route("PUT /models/{model}", s.handleStage)
+	f.Route("POST /models/{model}/promote", s.handlePromote)
+	f.Route("POST /models/{model}/rollback", s.handleRollback)
+	// Distributed-serving protocol (internal/distrib): summary pull,
+	// partial-term fan-out, and replica catch-up.
+	f.Route("GET /models/{model}/summary", s.handleSummary)
+	f.Route("GET /models/{model}/checkpoint", s.handleCheckpoint)
+	f.Route("GET /models/{model}/tail", s.handleTail)
+	f.Route("POST /models/{model}/partial", f.Guard("partial", s.handlePartial))
 	if s.opt.Debug {
-		mux.HandleFunc("GET /debug/traces", s.handleTraces)
-		mux.HandleFunc("GET /debug/slow", s.handleSlow)
-		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	}
-	return mux
-}
-
-// guard is the admission-control middleware for /v1 model endpoints:
-// resolve and echo the tenant, count the request (total, per-endpoint
-// and per-tenant), shed with 429 when MaxInflight requests are already
-// admitted globally or the tenant is past its fair-share cap, bound
-// the work with the per-request timeout, open the request's root trace
-// span, and record the latency of admitted requests overall and per
-// endpoint. The global gate is taken first so a tenant-capped request
-// still cannot oversubscribe the server; shed responses carry
-// X-UDM-Tenant, so a client can tell whose budget ran out.
-func (s *Server) guard(endpoint string, endpointCounter *obs.Counter, h func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	endpointLatency := s.metrics.endpointLatency(endpoint)
-	spanName := "server." + endpoint
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.metrics.Requests.Add(1)
-		endpointCounter.Add(1)
-		tenant, ok := requestTenant(r)
-		if !ok {
-			s.badTenant(w, r.PathValue("tenant"))
-			return
-		}
-		w.Header().Set(TenantHeader, tenant)
-		ts := s.tenant(tenant)
-		ts.requests.Inc()
-		select {
-		case s.inflight <- struct{}{}:
-		default:
-			s.metrics.Shed.Add(1)
-			w.Header().Set("Retry-After", "1")
-			writeError(w, s.metrics, http.StatusTooManyRequests, "overloaded",
-				fmt.Sprintf("more than %d requests in flight", s.opt.MaxInflight))
-			return
-		}
-		defer func() { <-s.inflight }()
-		if !ts.acquire() {
-			s.metrics.Shed.Add(1)
-			ts.shed.Inc()
-			w.Header().Set("Retry-After", "1")
-			writeError(w, s.metrics, http.StatusTooManyRequests, "tenant_overloaded",
-				fmt.Sprintf("tenant %q has more than %d requests in flight", tenant, ts.limit))
-			return
-		}
-		defer ts.release()
-		ctx, cancel := context.WithTimeout(r.Context(), s.opt.RequestTimeout)
-		defer cancel()
-		ctx, sp := obs.StartSpan(obs.WithTracer(ctx, s.tracer), spanName)
-		defer sp.End()
-		sp.Attr("model", qualified(tenant, r.PathValue("model")))
-		start := time.Now()
-		h(w, r.WithContext(ctx))
-		d := time.Since(start)
-		s.metrics.Latency.Observe(d.Seconds())
-		endpointLatency.Observe(d.Seconds())
+		f.mux.HandleFunc("GET /debug/traces", s.handleTraces)
+		f.mux.HandleFunc("GET /debug/slow", s.handleSlow)
+		f.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
+		f.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
+		f.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
+		f.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
+		f.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
 }

@@ -569,6 +569,31 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
+// TestShutdownBeforeServe: a Shutdown that runs before Serve (a
+// SIGTERM that beats the serve goroutine) still stops the server —
+// Serve returns http.ErrServerClosed at once.
+func TestShutdownBeforeServe(t *testing.T) {
+	s := testServer(t, Options{}, "")
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(l) }()
+	select {
+	case err := <-served:
+		if !errors.Is(err, http.ErrServerClosed) {
+			t.Fatalf("Serve after Shutdown returned %v, want ErrServerClosed", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Serve still running 2s after Shutdown returned")
+	}
+}
+
 func TestStatusFor(t *testing.T) {
 	cases := []struct {
 		err    error

@@ -79,7 +79,7 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 	m := sm.m
 	sum, v, err := m.SummarySnapshot()
 	if err != nil {
-		s.fail(w, err)
+		s.front.Fail(w, err)
 		return
 	}
 	w.Header().Set(VersionHeader, strconv.FormatUint(v, 10))
@@ -101,7 +101,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	m := sm.m
 	eng := m.Engine()
 	if eng == nil {
-		writeError(w, s.metrics, http.StatusBadRequest, "unsupported_kind",
+		s.front.Error(w, http.StatusBadRequest, "unsupported_kind",
 			fmt.Sprintf("model %q is a %s; /checkpoint needs a stream model", m.Name(), m.Kind()))
 		return
 	}
@@ -125,19 +125,19 @@ func (s *Server) handleTail(w http.ResponseWriter, r *http.Request) {
 	m := sm.m
 	eng := m.Engine()
 	if eng == nil {
-		writeError(w, s.metrics, http.StatusBadRequest, "unsupported_kind",
+		s.front.Error(w, http.StatusBadRequest, "unsupported_kind",
 			fmt.Sprintf("model %q is a %s; /tail needs a stream model", m.Name(), m.Kind()))
 		return
 	}
 	from, err := strconv.ParseInt(r.URL.Query().Get("from"), 10, 64)
 	if err != nil || from < 0 {
-		writeError(w, s.metrics, http.StatusBadRequest, "bad_option",
+		s.front.Error(w, http.StatusBadRequest, "bad_option",
 			fmt.Sprintf("tail needs ?from=N with a non-negative record ordinal, got %q", r.URL.Query().Get("from")))
 		return
 	}
 	recs, ok := eng.TailSince(from)
 	if !ok {
-		s.fail(w, fmt.Errorf("server: records after ordinal %d have aged out of the tail window; pull a fresh checkpoint: %w",
+		s.front.Fail(w, fmt.Errorf("server: records after ordinal %d have aged out of the tail window; pull a fresh checkpoint: %w",
 			from, udmerr.ErrTailExpired))
 		return
 	}
@@ -160,12 +160,12 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	}
 	m := sm.m
 	var req partialRequest
-	if !decode(w, r, s.metrics, &req) {
+	if !s.front.Decode(w, r, &req) {
 		return
 	}
 	rows, _, err := points(m, nil, req.Points)
 	if err != nil {
-		s.fail(w, err)
+		s.front.Fail(w, err)
 		return
 	}
 	type partial struct {
@@ -189,7 +189,7 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 		return partial{terms: terms, weight: float64(est.Count()), v: v}, nil
 	})
 	if err != nil {
-		s.fail(w, err)
+		s.front.Fail(w, err)
 		return
 	}
 	w.Header().Set(VersionHeader, strconv.FormatUint(res.v, 10))

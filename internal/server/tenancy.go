@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 
 	"udm/internal/core"
 	"udm/internal/microcluster"
@@ -13,11 +12,10 @@ import (
 	"udm/internal/stream"
 )
 
-// This file is the multi-tenant control surface: tenant resolution for
-// every request (path namespace or header, defaulting for pre-tenancy
-// clients), per-tenant fair-share admission, and the staged →
-// promote / rollback hot-swap endpoints. The data-plane handlers stay
-// in handlers.go; everything tenant-shaped funnels through here.
+// This file is the multi-tenant control surface: tenant quotas and the
+// staged → promote / rollback hot-swap endpoints. Tenant resolution
+// and per-tenant fair-share admission live in the front (front.go);
+// the data-plane handlers stay in handlers.go.
 
 // TenantHeader names the tenant on un-namespaced paths and echoes the
 // resolved tenant on every response — including sheds, so a client can
@@ -50,84 +48,20 @@ type Quota struct {
 	MaxPoints int64
 }
 
-// quotaFor resolves tenant's effective quota: per-tenant override
-// fields first, server-wide defaults for whatever they leave zero.
-func (s *Server) quotaFor(tenant string) Quota {
-	q := s.opt.TenantQuotas[tenant]
+// quota resolves tenant's effective quota: per-tenant override fields
+// first, tier-wide defaults for whatever they leave zero.
+func (o Options) quota(tenant string) Quota {
+	q := o.TenantQuotas[tenant]
 	if q.MaxInflight == 0 {
-		q.MaxInflight = s.opt.TenantMaxInflight
+		q.MaxInflight = o.TenantMaxInflight
 	}
 	if q.MaxModels == 0 {
-		q.MaxModels = s.opt.TenantMaxModels
+		q.MaxModels = o.TenantMaxModels
 	}
 	if q.MaxPoints == 0 {
-		q.MaxPoints = s.opt.TenantMaxPoints
+		q.MaxPoints = o.TenantMaxPoints
 	}
 	return q
-}
-
-// tenantState is one tenant's admission ledger: an atomic inflight
-// count checked against the fair-share cap, plus the tenant-labeled
-// counters (Prometheus-only — the JSON /metrics key set is frozen).
-type tenantState struct {
-	limit    int64 // ≤ 0 = unlimited
-	inflight atomic.Int64
-	requests *obs.Counter
-	shed     *obs.Counter
-}
-
-func (t *tenantState) acquire() bool {
-	if t.limit <= 0 {
-		return true
-	}
-	if t.inflight.Add(1) > t.limit {
-		t.inflight.Add(-1)
-		return false
-	}
-	return true
-}
-
-func (t *tenantState) release() {
-	if t.limit > 0 {
-		t.inflight.Add(-1)
-	}
-}
-
-// tenant get-or-creates the admission state for a tenant id.
-func (s *Server) tenant(id string) *tenantState {
-	s.tnMu.Lock()
-	defer s.tnMu.Unlock()
-	ts := s.tenantStates[id]
-	if ts == nil {
-		ts = &tenantState{
-			limit:    int64(s.quotaFor(id).MaxInflight),
-			requests: s.metrics.reg.Counter("udm_server_tenant_requests_total", "requests by tenant", "tenant", id),
-			shed:     s.metrics.reg.Counter("udm_server_tenant_shed_total", "requests shed by the per-tenant fair-share cap", "tenant", id),
-		}
-		s.tenantStates[id] = ts
-	}
-	return ts
-}
-
-// requestTenant resolves the tenant a request addresses: the
-// /v1/t/{tenant}/... path segment when present, the X-UDM-Tenant
-// header on legacy paths, and the default tenant when neither is set —
-// so a pre-tenancy client's requests mean exactly what they always
-// did. ok=false means the id failed validation.
-func requestTenant(r *http.Request) (string, bool) {
-	t := r.PathValue("tenant")
-	if t == "" {
-		t = r.Header.Get(TenantHeader)
-	}
-	if t == "" {
-		return DefaultTenant, true
-	}
-	return t, ValidIdent(t)
-}
-
-func (s *Server) badTenant(w http.ResponseWriter, tenant string) {
-	writeError(w, s.metrics, http.StatusBadRequest, "bad_tenant",
-		fmt.Sprintf("invalid tenant id %q (want 1-64 chars of [A-Za-z0-9._-])", tenant))
 }
 
 // --- hot-swap lifecycle: PUT (stage), /promote, /rollback ---
@@ -153,15 +87,13 @@ type swapResponse struct {
 // a staged replacement evaluates under the same estimator policy as
 // the model it will replace.
 func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
-	tenant, ok := requestTenant(r)
+	tenant, ok := s.front.Tenant(w, r)
 	if !ok {
-		s.badTenant(w, r.PathValue("tenant"))
 		return
 	}
-	w.Header().Set(TenantHeader, tenant)
 	name := r.PathValue("model")
 	if !ValidIdent(name) {
-		writeError(w, s.metrics, http.StatusBadRequest, "bad_option",
+		s.front.Error(w, http.StatusBadRequest, "bad_option",
 			fmt.Sprintf("invalid model name %q (want 1-64 chars of [A-Za-z0-9._-])", name))
 		return
 	}
@@ -169,10 +101,10 @@ func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
 	if kindName == "" {
 		kindName = r.Header.Get(KindHeader)
 	}
-	q := s.quotaFor(tenant)
+	q := s.opt.quota(tenant)
 	if q.MaxModels > 0 && !s.reg.Staged(tenant, name) {
 		if _, exists := s.reg.Resolve(tenant, name); !exists && s.reg.ModelCount(tenant) >= q.MaxModels {
-			writeError(w, s.metrics, http.StatusTooManyRequests, "quota_exceeded",
+			s.front.Error(w, http.StatusTooManyRequests, "quota_exceeded",
 				fmt.Sprintf("tenant %q is at its model quota (%d)", tenant, q.MaxModels))
 			return
 		}
@@ -196,22 +128,22 @@ func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
 			m, err = NewStreamModel(name, eng, s.opt.ModelKDE, "")
 		}
 	default:
-		writeError(w, s.metrics, http.StatusBadRequest, "bad_option",
+		s.front.Error(w, http.StatusBadRequest, "bad_option",
 			fmt.Sprintf("unknown model kind %q (want ?kind=transform|summarizer|stream)", kindName))
 		return
 	}
 	if err != nil {
-		writeError(w, s.metrics, http.StatusBadRequest, "bad_artifact",
+		s.front.Error(w, http.StatusBadRequest, "bad_artifact",
 			fmt.Sprintf("decoding %s artifact: %v", kindName, err))
 		return
 	}
 	if q.MaxPoints > 0 && s.reg.Points(tenant, name)+int64(m.Points()) > q.MaxPoints {
-		writeError(w, s.metrics, http.StatusTooManyRequests, "quota_exceeded",
+		s.front.Error(w, http.StatusTooManyRequests, "quota_exceeded",
 			fmt.Sprintf("staging %d points would exceed tenant %q point quota (%d)", m.Points(), tenant, q.MaxPoints))
 		return
 	}
 	if err := s.reg.Stage(tenant, name, m); err != nil {
-		writeError(w, s.metrics, http.StatusBadRequest, "bad_option", err.Error())
+		s.front.Error(w, http.StatusBadRequest, "bad_option", err.Error())
 		return
 	}
 	s.metrics.SwapStaged.Inc()
@@ -233,20 +165,18 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request,
 	swap func(tenant, name string) (*servedModel, *servedModel, error), counter *obs.Counter, missingCode string) {
-	tenant, ok := requestTenant(r)
+	tenant, ok := s.front.Tenant(w, r)
 	if !ok {
-		s.badTenant(w, r.PathValue("tenant"))
 		return
 	}
-	w.Header().Set(TenantHeader, tenant)
 	name := r.PathValue("model")
 	now, old, err := swap(tenant, name)
 	if err != nil {
 		if errors.Is(err, ErrNoStaged) || errors.Is(err, ErrNoPrevious) {
-			writeError(w, s.metrics, http.StatusConflict, missingCode, err.Error())
+			s.front.Error(w, http.StatusConflict, missingCode, err.Error())
 			return
 		}
-		s.fail(w, err)
+		s.front.Fail(w, err)
 		return
 	}
 	if old != nil {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -142,11 +143,15 @@ func TestTenantNamespaceRouting(t *testing.T) {
 		t.Fatalf("acme sees default's live model: %d", st)
 	}
 
-	// Invalid tenants are rejected up front.
+	// Invalid tenants are rejected up front, naming the id they sent.
 	for _, bad := range []string{"..", "a b", strings.Repeat("x", 65)} {
 		st, _, resp := postTenant(t, ts.URL+"/v1/models/blobs/density", bad, body)
 		if st != http.StatusBadRequest || !strings.Contains(resp, "bad_tenant") {
 			t.Errorf("tenant %q -> %d %q, want 400 bad_tenant", bad, st, resp)
+		}
+		var eb errorBody
+		if err := json.Unmarshal([]byte(resp), &eb); err != nil || !strings.Contains(eb.Error.Message, strconv.Quote(bad)) {
+			t.Errorf("tenant %q -> message %q, want it to name %s", bad, eb.Error.Message, strconv.Quote(bad))
 		}
 	}
 
@@ -278,7 +283,7 @@ func TestTenantInflightQuota(t *testing.T) {
 	if st != http.StatusOK {
 		t.Fatalf("noisy after release: %d, want 200", st)
 	}
-	if shed := s.tenant("noisy").shed.Load(); shed != 1 {
+	if shed := s.front.tenant("noisy").shed.Load(); shed != 1 {
 		t.Errorf("noisy shed counter = %d, want 1", shed)
 	}
 }

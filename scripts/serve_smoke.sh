@@ -264,7 +264,7 @@ proxy_stage() {
     udm_proxy_requests_total udm_proxy_fanout_total \
     udm_proxy_endpoint_requests_total udm_proxy_request_seconds_bucket \
     udm_proxy_latency_seconds_count udm_proxy_shard_latency_seconds_count \
-    udm_proxy_uptime_seconds
+    udm_proxy_uptime_seconds udm_proxy_tenant_requests_total
   if ! grep -q 'udm_proxy_shard_latency_seconds_count{shard="a"}' "$TMP/proxy_metrics.prom"; then
     echo "proxy-smoke: FAIL: shard-labeled latency series missing" >&2
     exit 1
