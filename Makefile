@@ -38,14 +38,9 @@ race:
 ## lint: project analyzers (always) + staticcheck/govulncheck (when installed)
 lint: lint-udm lint-staticcheck lint-vuln
 
-## lint-udm: the in-tree multichecker — no external deps, never skipped.
-## -cache makes warm repeat runs nearly instant (packages whose content
-## hash is unchanged are served from .udmlint-cache/). Each run appends
-## its timing line to lint-timing.txt, which the CI lint job uploads.
+## lint-udm: the in-tree multichecker — no external deps, never skipped
 lint-udm:
-	@code=0; $(GO) run ./cmd/udmlint -cache ./... 2>lint-timing.run || code=$$?; \
-	cat lint-timing.run >&2; cat lint-timing.run >> lint-timing.txt; rm -f lint-timing.run; \
-	exit $$code
+	$(GO) run ./cmd/udmlint ./...
 
 ## lint-fix-check: prove `udmlint -fix` is safe — apply fixes to a copy
 ## of the tree, require it to still build and pass tests, and require a

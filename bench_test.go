@@ -362,7 +362,7 @@ func BenchmarkPredictBatchWorkers(b *testing.B) {
 }
 
 // BenchmarkDensityBatchWorkers compares serial point-KDE evaluation of
-// a whole query set against DensityBatch at increasing worker counts —
+// a whole query set against DensityBatchOpts at increasing worker counts —
 // the raw kernel-sum substrate the classifier sits on.
 func BenchmarkDensityBatchWorkers(b *testing.B) {
 	train, test := benchBundle(b, "adult", 900, 1.2)
@@ -380,7 +380,7 @@ func BenchmarkDensityBatchWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := est.DensityBatch(test.X, nil, workers); err != nil {
+				if _, err := kde.DensityBatchOpts(est, test.X, nil, kde.BatchOptions{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	udmlint [-C dir] [-only ctxflow,nakedgo] [-list] [packages]
+//	udmlint [-C dir] [-only ctxflow,nakedgo] [-list] [-fix] [packages]
 //
 // With no packages it analyzes ./... relative to -C (default: the
 // current directory). It exits 0 when the tree is clean, 1 when there

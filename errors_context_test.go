@@ -95,9 +95,9 @@ func TestContextFirstAPIs(t *testing.T) {
 		t.Errorf("CVBandwidthsContext(canceled): %v, want context.Canceled", err)
 	}
 
-	// The positional forms remain thin wrappers over Background and
-	// agree with the context forms bit-for-bit.
-	direct, err := udm.DensityBatch(est, ds.X[:10], nil, 2)
+	// A nil Ctx means context.Background() and agrees with an explicit
+	// Background context bit-for-bit.
+	direct, err := udm.DensityBatchOpts(est, ds.X[:10], nil, udm.BatchOptions{Ctx: context.Background(), Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestContextFirstAPIs(t *testing.T) {
 	}
 	for i := range direct {
 		if direct[i] != viaOpts[i] {
-			t.Fatalf("row %d: positional %v != BatchOptions %v", i, direct[i], viaOpts[i])
+			t.Fatalf("row %d: Background Ctx %v != nil Ctx %v", i, direct[i], viaOpts[i])
 		}
 	}
 }

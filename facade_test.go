@@ -212,7 +212,7 @@ func TestFacadeParallelBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := udm.DensityBatch(est, noisy.X, nil, 8)
+	batch, err := udm.DensityBatchOpts(est, noisy.X, nil, udm.BatchOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,6 +260,72 @@ func TestFacadeParallelBatch(t *testing.T) {
 	for j := range h1 {
 		if h1[j] != h8[j] {
 			t.Fatalf("CV bandwidth %d: %v vs %v", j, h1[j], h8[j])
+		}
+	}
+}
+
+// TestFacadeDensityQBatchOpts pins the public uncertain-query batch: on
+// both estimator types it is bit-identical to the per-query DensityQ
+// loop at 1 and 4 workers, and a nil Qerr reproduces DensityBatchOpts.
+func TestFacadeDensityQBatchOpts(t *testing.T) {
+	clean, err := udm.TwoBlobs(3).Generate(240, udm.NewRand(46))
+	if err != nil {
+		t.Fatal(err)
+	}
+	noisy, err := udm.Perturb(clean, 1.0, udm.NewRand(47))
+	if err != nil {
+		t.Fatal(err)
+	}
+	point, err := udm.NewPointDensity(noisy, udm.DensityOptions{ErrorAdjust: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster, err := udm.NewClusterDensity(udm.Summarize(noisy, 30, udm.NewRand(48)), udm.DensityOptions{ErrorAdjust: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]int, len(noisy.X[0]))
+	for j := range all {
+		all[j] = j
+	}
+	qerr := make([][]float64, len(noisy.X))
+	for i := range qerr {
+		if i%3 == 0 {
+			continue // every third query stays certain (nil row)
+		}
+		qerr[i] = make([]float64, len(all))
+		for j := range qerr[i] {
+			qerr[i][j] = 0.1 * float64(j+1+i%2)
+		}
+	}
+	type qEstimator interface {
+		udm.DensityEstimator
+		DensityQ(x, qerr []float64, dims []int) float64
+	}
+	for name, est := range map[string]qEstimator{"point": point, "cluster": cluster} {
+		for _, workers := range []int{1, 4} {
+			got, err := udm.DensityQBatchOpts(est, noisy.X, qerr, nil, udm.BatchOptions{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, x := range noisy.X {
+				if want := est.DensityQ(x, qerr[i], all); got[i] != want {
+					t.Fatalf("%s workers=%d: row %d = %v, want %v (not bit-identical)", name, workers, i, got[i], want)
+				}
+			}
+		}
+		plain, err := udm.DensityQBatchOpts(est, noisy.X, nil, nil, udm.BatchOptions{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, err := udm.DensityBatchOpts(est, noisy.X, nil, udm.BatchOptions{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range plain {
+			if plain[i] != batch[i] {
+				t.Fatalf("%s: nil-Qerr row %d = %v, DensityBatchOpts %v", name, i, plain[i], batch[i])
+			}
 		}
 	}
 }

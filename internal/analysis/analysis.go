@@ -8,10 +8,9 @@
 // deliberately mirrors x/tools so the analyzers could be ported to a
 // real multichecker by swapping imports.
 //
-// The project-specific analyzers live in subpackages (ctxflow,
-// errsentinel, detfloat, nakedgo, rngsource); the loader that produces
-// type-checked packages lives in the load subpackage; cmd/udmlint is
-// the multichecker binary.
+// The project-specific analyzers live in subpackages (driver.All is the
+// registry); the loader that produces type-checked packages lives in
+// the load subpackage; cmd/udmlint is the multichecker binary.
 package analysis
 
 import (
@@ -21,8 +20,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-
-	"udm/internal/analysis/cfg"
 )
 
 // An Analyzer describes one invariant check over a type-checked package.
@@ -78,10 +75,6 @@ type Pass struct {
 
 	// parents is built lazily by ParentOf.
 	parents map[ast.Node]ast.Node
-
-	// cfgs caches control-flow graphs per function body, built lazily
-	// by CFG and shared by every analyzer of the pass's package.
-	cfgs map[*ast.BlockStmt]*cfg.Graph
 }
 
 // IsMainPkg reports whether the package under analysis is a main
@@ -99,21 +92,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 func (p *Pass) Report(d Diagnostic) {
 	d.Analyzer = p.Analyzer.Name
 	p.report(d)
-}
-
-// CFG returns the control-flow graph of the given function body, built
-// on first use and cached for the lifetime of the pass (so every
-// analyzer of one package shares one graph per function).
-func (p *Pass) CFG(body *ast.BlockStmt) *cfg.Graph {
-	if g, ok := p.cfgs[body]; ok {
-		return g
-	}
-	if p.cfgs == nil {
-		p.cfgs = map[*ast.BlockStmt]*cfg.Graph{}
-	}
-	g := cfg.New(body)
-	p.cfgs[body] = g
-	return g
 }
 
 // ParentOf returns the syntactic parent of n within the package's
@@ -151,9 +129,8 @@ type Diagnostic struct {
 	Fixes    []SuggestedFix
 }
 
-// An Edit is a TextEdit resolved to a file and byte offsets — the
-// serializable form the driver applies under -fix and the lint cache
-// stores.
+// An Edit is a TextEdit resolved to a file and byte offsets — the form
+// the driver applies under -fix.
 type Edit struct {
 	Filename string
 	Offset   int // byte offset of the start of the replaced range
@@ -168,16 +145,12 @@ type Fix struct {
 }
 
 // A Finding is a Diagnostic resolved to a concrete file position, the
-// unit the driver prints and tests assert on. A Finding covered by a
-// //lint:allow directive is carried with Suppressed set rather than
-// dropped, so the -json mode can surface the audit trail; every other
-// consumer filters on the flag.
+// unit the driver prints and tests assert on.
 type Finding struct {
-	Pos        token.Position
-	Analyzer   string
-	Message    string
-	Suppressed bool  `json:",omitempty"`
-	Fixes      []Fix `json:",omitempty"`
+	Pos      token.Position
+	Analyzer string
+	Message  string
+	Fixes    []Fix
 }
 
 func (f Finding) String() string {
@@ -187,13 +160,12 @@ func (f Finding) String() string {
 // sameSite reports whether two findings are duplicates (position,
 // analyzer, and message all equal); fixes do not participate.
 func sameSite(a, b Finding) bool {
-	return a.Pos == b.Pos && a.Analyzer == b.Analyzer && a.Message == b.Message && a.Suppressed == b.Suppressed
+	return a.Pos == b.Pos && a.Analyzer == b.Analyzer && a.Message == b.Message
 }
 
-// RunPackage applies every analyzer to one package and returns its
-// findings unsorted, with suppressed findings flagged rather than
-// dropped. It is the unit of work the incremental lint cache keys on.
-func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
+// runPackage applies every analyzer to one package and returns its
+// findings unsorted, dropping those covered by //lint:allow.
+func runPackage(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
 	sup, findings := suppressions(pkg.Fset, pkg.Syntax)
 	var diags []Diagnostic
 	pass := &Pass{
@@ -212,12 +184,10 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
 	}
 	for _, d := range diags {
 		pos := pkg.Fset.Position(d.Pos)
-		f := Finding{
-			Pos:        pos,
-			Analyzer:   d.Analyzer,
-			Message:    d.Message,
-			Suppressed: sup.allows(d.Analyzer, pos),
+		if sup.allows(d.Analyzer, pos) {
+			continue
 		}
+		f := Finding{Pos: pos, Analyzer: d.Analyzer, Message: d.Message}
 		for _, fix := range d.Fixes {
 			rf := Fix{Message: fix.Message}
 			for _, e := range fix.Edits {
@@ -231,7 +201,7 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
 	return findings, nil
 }
 
-// Run applies every analyzer to every package, flags the diagnostics
+// Run applies every analyzer to every package, drops the diagnostics
 // covered by //lint:allow suppressions (see suppress.go), and returns
 // the findings sorted by file, line, column, and analyzer name.
 // Malformed suppression directives are themselves reported as findings
@@ -239,20 +209,20 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 	var findings []Finding
 	for _, pkg := range pkgs {
-		fs, err := RunPackage(pkg, analyzers)
+		fs, err := runPackage(pkg, analyzers)
 		if err != nil {
 			return nil, err
 		}
 		findings = append(findings, fs...)
 	}
-	return Sort(findings), nil
+	return sortFindings(findings), nil
 }
 
-// Sort orders findings by file, line, column, analyzer, and message,
-// and drops exact duplicates: nested expressions can satisfy two
-// trigger patterns of one rule (e.g. time.Now inside both rand.New and
-// rand.NewSource) and one finding per site is enough.
-func Sort(findings []Finding) []Finding {
+// sortFindings orders findings by file, line, column, analyzer, and
+// message, and drops exact duplicates: nested expressions can satisfy
+// two trigger patterns of one rule (e.g. time.Now inside both rand.New
+// and rand.NewSource) and one finding per site is enough.
+func sortFindings(findings []Finding) []Finding {
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
 		if a.Pos.Filename != b.Pos.Filename {

@@ -1,15 +1,14 @@
 // Package cfg builds intraprocedural control-flow graphs over go/ast
-// function bodies, entirely on the standard library, and layers
-// worklist dataflow solvers on top of them (solve.go).
+// function bodies, entirely on the standard library, and answers one
+// path query over them (ExistsPath).
 //
 // The per-node AST walkers in internal/analysis can enforce shapes —
 // "a defer must follow this assignment" — but not path properties:
-// "this cancel func is called on *every* return path", "this mutex is
-// unlocked on *some* path but not others". Those need a graph of basic
-// blocks. The model here follows golang.org/x/tools/go/cfg: each
-// Block holds the simple statements and controlling expressions that
-// execute unconditionally once the block is entered, and edges carry
-// the branching structure. Composite statements (if/for/switch/select)
+// "this mutex is unlocked on *some* path but not others". Those need a
+// graph of basic blocks. The model here follows
+// golang.org/x/tools/go/cfg: each Block holds the simple statements and
+// controlling expressions that execute unconditionally once the block
+// is entered, and edges carry the branching structure. Composite statements (if/for/switch/select)
 // are decomposed into their parts rather than stored whole, so walking
 // a block's Nodes never traverses a nested body twice.
 //
@@ -434,4 +433,81 @@ func (b *builder) buildBranch(s *ast.BranchStmt) {
 		}
 		b.cur = nil
 	}
+}
+
+// BlockOf returns the block whose Nodes contain n (by identity), or
+// nil when n is not recorded in the graph (e.g. a node nested inside a
+// composite statement's body).
+func (g *Graph) BlockOf(n ast.Node) *Block {
+	for _, b := range g.Blocks {
+		for _, m := range b.Nodes {
+			if m == n {
+				return b
+			}
+		}
+	}
+	return nil
+}
+
+// ExistsPath reports whether some execution path leads from src to dst
+// along which no node satisfies kill. Within src only the nodes
+// strictly after the `after` node are considered (pass nil to consider
+// all of src); dst is considered reached at its top, before its own
+// nodes run. A block containing a kill node cannot be passed through.
+//
+// This is the query behind lockguard's Unlock-on-every-path rule: "is
+// there a path from the Lock to the function exit that never Unlocks?"
+// is ExistsPath(lockBlock, g.Exit, lockStmt, isUnlock).
+func (g *Graph) ExistsPath(src, dst *Block, after ast.Node, kill func(ast.Node) bool) bool {
+	// The straight-line tail of src after the anchor node.
+	start := 0
+	if after != nil {
+		for i, n := range src.Nodes {
+			if n == after {
+				start = i + 1
+				break
+			}
+		}
+	}
+	for _, n := range src.Nodes[start:] {
+		if kill(n) {
+			return false
+		}
+	}
+	if src == dst && after == nil {
+		return true
+	}
+
+	seen := make([]bool, len(g.Blocks))
+	var stack []*Block
+	push := func(b *Block) {
+		if !seen[b.Index] {
+			seen[b.Index] = true
+			stack = append(stack, b)
+		}
+	}
+	for _, s := range src.Succs {
+		push(s)
+	}
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if b == dst {
+			return true
+		}
+		blocked := false
+		for _, n := range b.Nodes {
+			if kill(n) {
+				blocked = true
+				break
+			}
+		}
+		if blocked {
+			continue
+		}
+		for _, s := range b.Succs {
+			push(s)
+		}
+	}
+	return false
 }

@@ -2,37 +2,26 @@ package cfg
 
 import (
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"strings"
 	"testing"
 )
 
-// parseFunc type-checks src and returns the named function's
-// declaration plus the type info.
-func parseFunc(t *testing.T, src, name string) (*ast.FuncDecl, *types.Info) {
+// parseFunc parses src and returns the named function's declaration.
+func parseFunc(t *testing.T, src, name string) *ast.FuncDecl {
 	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "x.go", src, parser.SkipObjectResolution)
+	f, err := parser.ParseFile(token.NewFileSet(), "x.go", src, parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	info := &types.Info{
-		Types: map[ast.Expr]types.TypeAndValue{},
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-	}
-	conf := types.Config{Importer: importer.Default(), Error: func(error) {}}
-	conf.Check("x", fset, []*ast.File{f}, info) //nolint:errcheck // partial info is enough
 	for _, d := range f.Decls {
 		if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == name {
-			return fd, info
+			return fd
 		}
 	}
 	t.Fatalf("function %s not found", name)
-	return nil, nil
+	return nil
 }
 
 // reachable reports the number of blocks reachable from Entry.
@@ -53,7 +42,7 @@ func reachable(g *Graph) int {
 }
 
 func TestLinearFunc(t *testing.T) {
-	fd, _ := parseFunc(t, `package x
+	fd := parseFunc(t, `package x
 func f() { a := 1; b := a + 1; _ = b }`, "f")
 	g := New(fd.Body)
 	if len(g.Entry.Nodes) != 3 {
@@ -65,7 +54,7 @@ func f() { a := 1; b := a + 1; _ = b }`, "f")
 }
 
 func TestIfElseJoins(t *testing.T) {
-	fd, _ := parseFunc(t, `package x
+	fd := parseFunc(t, `package x
 func f(c bool) int {
 	x := 0
 	if c {
@@ -90,7 +79,7 @@ func f(c bool) int {
 }
 
 func TestEarlyReturnPath(t *testing.T) {
-	fd, _ := parseFunc(t, `package x
+	fd := parseFunc(t, `package x
 func f(c bool) int {
 	if c {
 		return 1
@@ -104,7 +93,7 @@ func f(c bool) int {
 }
 
 func TestForLoopBackEdge(t *testing.T) {
-	fd, _ := parseFunc(t, `package x
+	fd := parseFunc(t, `package x
 func f(n int) int {
 	s := 0
 	for i := 0; i < n; i++ {
@@ -131,7 +120,7 @@ func f(n int) int {
 }
 
 func TestBreakContinue(t *testing.T) {
-	fd, _ := parseFunc(t, `package x
+	fd := parseFunc(t, `package x
 func f(xs []int) int {
 	s := 0
 	for _, x := range xs {
@@ -170,7 +159,7 @@ func f(xs []int) int {
 }
 
 func TestSwitchFallthrough(t *testing.T) {
-	fd, _ := parseFunc(t, `package x
+	fd := parseFunc(t, `package x
 func f(n int) string {
 	switch n {
 	case 0:
@@ -204,7 +193,7 @@ func f(n int) string {
 }
 
 func TestGotoAndLabels(t *testing.T) {
-	fd, _ := parseFunc(t, `package x
+	fd := parseFunc(t, `package x
 func f(n int) int {
 	i := 0
 loop:
@@ -233,7 +222,7 @@ loop:
 }
 
 func TestSelectClauses(t *testing.T) {
-	fd, _ := parseFunc(t, `package x
+	fd := parseFunc(t, `package x
 func f(a, b chan int) int {
 	select {
 	case v := <-a:
@@ -260,10 +249,10 @@ func f(a, b chan int) int {
 }
 
 // TestExistsPath pins the kill-node reachability query on the shape
-// ctxleak depends on: a conditional early return that skips the
+// lockguard depends on: a conditional early return that skips the
 // cleanup call.
 func TestExistsPath(t *testing.T) {
-	fd, _ := parseFunc(t, `package x
+	fd := parseFunc(t, `package x
 func f(c bool) {
 	acquire()
 	if c {
@@ -303,7 +292,7 @@ func release() {}`, "f")
 // TestExistsPathLoop checks that a kill inside a loop body does not
 // block the zero-iteration path around the loop.
 func TestExistsPathLoop(t *testing.T) {
-	fd, _ := parseFunc(t, `package x
+	fd := parseFunc(t, `package x
 func f(n int) {
 	acquire()
 	for i := 0; i < n; i++ {
@@ -327,76 +316,5 @@ func release() {}`, "f")
 	}
 	if !g.ExistsPath(g.Entry, g.Exit, nil, kill) {
 		t.Error("zero-iteration bypass path not found")
-	}
-}
-
-func TestLiveness(t *testing.T) {
-	fd, info := parseFunc(t, `package x
-func f(c bool) int {
-	a := 1
-	b := 2
-	if c {
-		return a
-	}
-	return b
-}`, "f")
-	g := New(fd.Body)
-	live := Liveness(g, info)
-
-	names := func(b *Block) map[string]bool {
-		m := map[string]bool{}
-		for o := range live[b] {
-			m[o.Name()] = true
-		}
-		return m
-	}
-	// At the then-branch (return a), a is live, b is not.
-	for _, b := range g.Blocks {
-		if b.Kind != "if.then" {
-			continue
-		}
-		n := names(b)
-		if !n["a"] || n["b"] {
-			t.Errorf("then-branch liveness = %v, want a live and b dead", n)
-		}
-	}
-}
-
-// TestForwardSolver exercises the generic forward engine with a simple
-// "definitely called" must-analysis over block kinds.
-func TestForwardSolver(t *testing.T) {
-	fd, _ := parseFunc(t, `package x
-func f(c bool) {
-	if c {
-		mark()
-	}
-	sink()
-}
-func mark() {}
-func sink() {}`, "f")
-	g := New(fd.Body)
-
-	hasMark := func(b *Block) bool {
-		for _, n := range b.Nodes {
-			es, ok := n.(*ast.ExprStmt)
-			if !ok {
-				continue
-			}
-			if call, ok := es.X.(*ast.CallExpr); ok {
-				if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "mark" {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	// Fact: true iff mark() has definitely been called. Join = AND
-	// (must), bottom = true (the identity of AND).
-	join := func(a, b bool) bool { return a && b }
-	transfer := func(b *Block, in bool) bool { return in || hasMark(b) }
-	equal := func(a, b bool) bool { return a == b }
-	in, _ := Forward(g, false, true, join, transfer, equal)
-	if in[g.Exit] {
-		t.Error("mark() is conditional but solver says it definitely ran")
 	}
 }

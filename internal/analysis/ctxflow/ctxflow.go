@@ -8,8 +8,8 @@
 //     context.Background or context.TODO in a non-main package is
 //     flagged unless it is one of the two sanctioned idioms: the
 //     compatibility wrapper (a function with no ctx parameter passing
-//     Background directly to its ...Context variant, e.g. DensityBatch
-//     → DensityBatchContext) or the nil-guard default
+//     Background directly to its ...Context variant, e.g. ClassifyBatch
+//     → ClassifyBatchContext) or the nil-guard default
 //     (`if ctx == nil { ctx = context.Background() }`).
 //  2. A declared context parameter must actually flow somewhere: a
 //     function whose ctx parameter is never mentioned in its body is

@@ -5,19 +5,15 @@
 package driver
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"udm/internal/analysis"
 	"udm/internal/analysis/atomicmix"
 	"udm/internal/analysis/ctxflow"
-	"udm/internal/analysis/ctxleak"
-	"udm/internal/analysis/depapi"
 	"udm/internal/analysis/detfloat"
 	"udm/internal/analysis/errsentinel"
 	"udm/internal/analysis/faultpoint"
@@ -35,8 +31,6 @@ import (
 var All = []*analysis.Analyzer{
 	atomicmix.Analyzer,
 	ctxflow.Analyzer,
-	ctxleak.Analyzer,
-	depapi.Analyzer,
 	detfloat.Analyzer,
 	errsentinel.Analyzer,
 	faultpoint.Analyzer,
@@ -71,10 +65,8 @@ func Run(stdout, stderr io.Writer, args []string) int {
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := fs.Bool("list", false, "list the registered analyzers and exit")
 	fix := fs.Bool("fix", false, "apply suggested fixes, gofmt the touched files, and re-run until no fix applies")
-	jsonOut := fs.Bool("json", false, "emit one JSON diagnostic per line (suppressed findings included, flagged)")
-	useCache := fs.Bool("cache", false, "reuse per-package findings from "+cacheDirName+"/ keyed by content hash")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: udmlint [-C dir] [-only a,b] [-list] [-fix] [-json] [-cache] [packages]\n")
+		fmt.Fprintf(stderr, "usage: udmlint [-C dir] [-only a,b] [-list] [-fix] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -110,13 +102,7 @@ func Run(stdout, stderr io.Writer, args []string) int {
 		patterns = []string{"./..."}
 	}
 
-	cacheDir := ""
-	if *useCache {
-		cacheDir = filepath.Join(*dir, cacheDirName)
-	}
-
-	start := time.Now()
-	findings, stats, err := analyze(*dir, patterns, analyzers, cacheDir)
+	findings, packages, err := analyze(*dir, patterns, analyzers)
 	if err != nil {
 		fmt.Fprintf(stderr, "udmlint: %v\n", err)
 		return ExitError
@@ -124,9 +110,6 @@ func Run(stdout, stderr io.Writer, args []string) int {
 
 	if *fix {
 		// Apply fixes and re-analyze until the tree is a fixed point.
-		// Each round invalidates the caches of the packages it touches
-		// by construction (their content hash changes), so -fix and
-		// -cache compose.
 		for round := 1; ; round++ {
 			applied, files, err := fixRound(findings)
 			if err != nil {
@@ -143,7 +126,7 @@ func Run(stdout, stderr io.Writer, args []string) int {
 				fmt.Fprintf(stderr, "udmlint: fixes did not converge after %d rounds\n", maxFixRounds)
 				return ExitError
 			}
-			findings, stats, err = analyze(*dir, patterns, analyzers, cacheDir)
+			findings, packages, err = analyze(*dir, patterns, analyzers)
 			if err != nil {
 				fmt.Fprintf(stderr, "udmlint: %v (tree may be mid-fix)\n", err)
 				return ExitError
@@ -152,16 +135,11 @@ func Run(stdout, stderr io.Writer, args []string) int {
 		// Idempotence proof: the surviving findings must offer nothing
 		// further to apply.
 		for _, f := range findings {
-			if !f.Suppressed && len(f.Fixes) > 0 {
+			if len(f.Fixes) > 0 {
 				fmt.Fprintf(stderr, "udmlint: fix for %s did not remove its finding\n", f.String())
 				return ExitError
 			}
 		}
-	}
-
-	if *useCache {
-		fmt.Fprintf(stderr, "udmlint: %d package(s): %d analyzed, %d from cache in %s\n",
-			stats.packages, stats.analyzed, stats.cached, time.Since(start).Round(time.Millisecond))
 	}
 
 	// Findings carry absolute paths; print them relative to the module
@@ -170,89 +148,27 @@ func Run(stdout, stderr io.Writer, args []string) int {
 	if abs, err := filepath.Abs(*dir); err == nil {
 		relTo = abs
 	}
-	relativize := func(name string) string {
-		if rel, err := filepath.Rel(relTo, name); err == nil && !strings.HasPrefix(rel, "..") {
-			return rel
-		}
-		return name
-	}
-
-	active := 0
-	enc := json.NewEncoder(stdout)
 	for _, f := range findings {
-		if !f.Suppressed {
-			active++
-		}
-		if *jsonOut {
-			rel := f
-			rel.Pos.Filename = relativize(f.Pos.Filename)
-			if err := enc.Encode(rel); err != nil {
-				fmt.Fprintf(stderr, "udmlint: %v\n", err)
-				return ExitError
-			}
-			continue
-		}
-		if f.Suppressed {
-			continue
-		}
 		pos := f.Pos
-		pos.Filename = relativize(pos.Filename)
+		if rel, err := filepath.Rel(relTo, pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
+			pos.Filename = rel
+		}
 		fmt.Fprintf(stdout, "%s: [%s] %s\n", pos, f.Analyzer, f.Message)
 	}
-	if active > 0 {
-		if !*jsonOut {
-			fmt.Fprintf(stdout, "udmlint: %d finding(s) across %d package(s)\n", active, stats.packages)
-		}
+	if len(findings) > 0 {
+		fmt.Fprintf(stdout, "udmlint: %d finding(s) across %d package(s)\n", len(findings), packages)
 		return ExitFindings
 	}
 	return ExitClean
 }
 
-// runStats counts how the packages of one analyze call were served.
-type runStats struct {
-	packages int
-	analyzed int
-	cached   int
-}
-
-// analyze lists the packages and produces their findings, serving each
-// package from the lint cache when cacheDir is set and its key hits.
-func analyze(dir string, patterns []string, analyzers []*analysis.Analyzer, cacheDir string) ([]analysis.Finding, runStats, error) {
-	var stats runStats
-	mod, err := load.List(dir, patterns...)
+// analyze loads the packages matched by patterns and returns their
+// findings together with the number of packages analyzed.
+func analyze(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]analysis.Finding, int, error) {
+	pkgs, err := load.Packages(dir, patterns...)
 	if err != nil {
-		return nil, stats, err
+		return nil, 0, err
 	}
-	stats.packages = len(mod.Targets)
-	fh := fileHashes{}
-	var all []analysis.Finding
-	for _, t := range mod.Targets {
-		key := ""
-		if cacheDir != "" {
-			// A key failure (e.g. a source file vanished mid-run) just
-			// means this package analyzes uncached.
-			if k, err := cacheKey(t, analyzers, fh); err == nil {
-				key = k
-				if fs, ok := readCache(cacheDir, key); ok {
-					all = append(all, fs...)
-					stats.cached++
-					continue
-				}
-			}
-		}
-		pkg, err := t.Load()
-		if err != nil {
-			return nil, stats, err
-		}
-		fs, err := analysis.RunPackage(pkg, analyzers)
-		if err != nil {
-			return nil, stats, err
-		}
-		stats.analyzed++
-		if key != "" {
-			writeCache(cacheDir, key, fs)
-		}
-		all = append(all, fs...)
-	}
-	return analysis.Sort(all), stats, nil
+	findings, err := analysis.Run(pkgs, analyzers)
+	return findings, len(pkgs), err
 }

@@ -13,19 +13,14 @@ import (
 	"udm/internal/analysis"
 )
 
-// A plannedEdit is one accepted edit, tagged with its file.
-type plannedEdit struct {
-	analysis.Edit
-}
-
 // selectFixes chooses a non-conflicting set of fixes from the findings.
 // A fix is atomic — either all of its edits apply or none — and a later
 // fix that overlaps an accepted edit is dropped (it gets its chance on
 // the next round, after the first fix has been applied and the tree
-// re-analyzed). Suppressed findings contribute nothing: a //lint:allow
-// is an explicit decision to keep the code as written.
-func selectFixes(findings []analysis.Finding) (byFile map[string][]plannedEdit, applied, dropped int) {
-	byFile = map[string][]plannedEdit{}
+// re-analyzed). Suppressed findings never reach this point: a
+// //lint:allow is an explicit decision to keep the code as written.
+func selectFixes(findings []analysis.Finding) (byFile map[string][]analysis.Edit, applied int) {
+	byFile = map[string][]analysis.Edit{}
 	conflicts := func(e analysis.Edit) bool {
 		for _, p := range byFile[e.Filename] {
 			if (e.Offset < p.End && p.Offset < e.End) || e.Offset == p.Offset {
@@ -35,7 +30,7 @@ func selectFixes(findings []analysis.Finding) (byFile map[string][]plannedEdit, 
 		return false
 	}
 	for _, f := range findings {
-		if f.Suppressed || len(f.Fixes) == 0 {
+		if len(f.Fixes) == 0 {
 			continue
 		}
 		fix := f.Fixes[0]
@@ -47,22 +42,21 @@ func selectFixes(findings []analysis.Finding) (byFile map[string][]plannedEdit, 
 			}
 		}
 		if !ok {
-			dropped++
 			continue
 		}
 		for _, e := range fix.Edits {
-			byFile[e.Filename] = append(byFile[e.Filename], plannedEdit{e})
+			byFile[e.Filename] = append(byFile[e.Filename], e)
 		}
 		applied++
 	}
-	return byFile, applied, dropped
+	return byFile, applied
 }
 
 // applyEdits rewrites one file: splice the edits (descending, so
 // offsets stay valid), then gofmt the result. The file is written only
 // when the formatted result differs; a result that no longer formats is
 // an engine bug and aborts without writing.
-func applyEdits(filename string, edits []plannedEdit) (changed bool, err error) {
+func applyEdits(filename string, edits []analysis.Edit) (changed bool, err error) {
 	src, err := os.ReadFile(filename)
 	if err != nil {
 		return false, err
@@ -92,7 +86,7 @@ func applyEdits(filename string, edits []plannedEdit) (changed bool, err error) 
 // fixRound applies one round of fixes and reports how many fixes were
 // applied and how many files changed on disk.
 func fixRound(findings []analysis.Finding) (applied, files int, err error) {
-	byFile, applied, _ := selectFixes(findings)
+	byFile, applied := selectFixes(findings)
 	if applied == 0 {
 		return 0, 0, nil
 	}

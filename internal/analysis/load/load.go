@@ -35,12 +35,9 @@ import (
 // listPackage is the subset of `go list -json` output the loader needs.
 type listPackage struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	Export     string
 	GoFiles    []string
-	Deps       []string
-	Standard   bool
 	DepOnly    bool
 	Error      *listError
 }
@@ -50,46 +47,13 @@ type listError struct {
 	Err string
 }
 
-// A Module is the listed-but-not-yet-type-checked view of one load: the
-// matched targets plus the shared FileSet and export-data importer they
-// type-check against. Listing is cheap (one `go list` invocation);
-// parsing and type-checking happen per target, on demand, so a caller
-// with an external source of truth for a target — the incremental lint
-// cache — can skip that target's type-check entirely.
-type Module struct {
-	// Targets are the packages matched by the patterns, sorted by
-	// import path.
-	Targets []*Target
-
-	fset *token.FileSet
-	imp  types.Importer
-}
-
-// A Target is one matched package before type-checking. GoFiles and
-// DepExports are the target's complete content identity: the cache keys
-// on their bytes, because a diagnostic can change only when the
-// package's own sources change or a dependency's exported API does.
-type Target struct {
-	// ImportPath is the package's module-qualified import path.
-	ImportPath string
-	// Dir is the directory holding the package's sources.
-	Dir string
-	// GoFiles are the absolute paths of the non-test Go sources, in
-	// build order.
-	GoFiles []string
-	// DepExports are the export-data files of the package's transitive
-	// dependencies, sorted.
-	DepExports []string
-
-	mod *Module
-}
-
-// List runs `go list` over the patterns, resolved relative to dir (the
-// module to analyze), and returns the matched targets without parsing
-// or type-checking them. Test files are not listed: the project's
-// contracts bind library code, and tests are free to use
-// context.Background, fixed seeds, and string matching as they please.
-func List(dir string, patterns ...string) (*Module, error) {
+// Packages runs `go list` over the patterns, resolved relative to dir
+// (the module to analyze), then parses and type-checks every matched
+// package. Test files are not loaded: the project's contracts bind
+// library code, and tests are free to use context.Background, fixed
+// seeds, and string matching as they please. Packages come back sorted
+// by import path and share one FileSet.
+func Packages(dir string, patterns ...string) ([]*analysis.Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -116,35 +80,29 @@ func List(dir string, patterns ...string) (*Module, error) {
 	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 
 	fset := token.NewFileSet()
-	mod := &Module{fset: fset}
-	mod.imp = importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("load: no export data for %q", path)
 		}
 		return os.Open(file)
 	})
+	pkgs := make([]*analysis.Package, 0, len(targets))
 	for _, p := range targets {
-		t := &Target{ImportPath: p.ImportPath, Dir: p.Dir, mod: mod}
-		for _, name := range p.GoFiles {
-			t.GoFiles = append(t.GoFiles, filepath.Join(p.Dir, name))
+		pkg, err := check(fset, imp, p)
+		if err != nil {
+			return nil, err
 		}
-		for _, d := range p.Deps {
-			if f, ok := exports[d]; ok {
-				t.DepExports = append(t.DepExports, f)
-			}
-		}
-		sort.Strings(t.DepExports)
-		mod.Targets = append(mod.Targets, t)
+		pkgs = append(pkgs, pkg)
 	}
-	return mod, nil
+	return pkgs, nil
 }
 
-// Load parses and type-checks the target.
-func (t *Target) Load() (*analysis.Package, error) {
-	files := make([]*ast.File, 0, len(t.GoFiles))
-	for _, path := range t.GoFiles {
-		f, err := parser.ParseFile(t.mod.fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+// check parses and type-checks one listed package.
+func check(fset *token.FileSet, imp types.Importer, p *listPackage) (*analysis.Package, error) {
+	files := make([]*ast.File, 0, len(p.GoFiles))
+	for _, name := range p.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("load: %w", err)
 		}
@@ -158,44 +116,26 @@ func (t *Target) Load() (*analysis.Package, error) {
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
-	conf := types.Config{Importer: t.mod.imp}
-	tpkg, err := conf.Check(t.ImportPath, t.mod.fset, files, info)
+	conf := types.Config{Importer: imp}
+	tpkg, err := conf.Check(p.ImportPath, fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("load: type-checking %s: %w", t.ImportPath, err)
+		return nil, fmt.Errorf("load: type-checking %s: %w", p.ImportPath, err)
 	}
 	return &analysis.Package{
-		PkgPath:   t.ImportPath,
-		Dir:       t.Dir,
-		Fset:      t.mod.fset,
+		PkgPath:   p.ImportPath,
+		Dir:       p.Dir,
+		Fset:      fset,
 		Syntax:    files,
 		Types:     tpkg,
 		TypesInfo: info,
 	}, nil
 }
 
-// Packages loads, parses, and type-checks the packages matched by
-// patterns: List followed by Load of every target.
-func Packages(dir string, patterns ...string) ([]*analysis.Package, error) {
-	mod, err := List(dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	pkgs := make([]*analysis.Package, 0, len(mod.Targets))
-	for _, t := range mod.Targets {
-		pkg, err := t.Load()
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
-}
-
 // goList runs `go list` in dir and decodes its JSON stream.
 func goList(dir string, patterns []string) ([]*listPackage, error) {
 	args := []string{
 		"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Name,Dir,Export,GoFiles,Deps,Standard,DepOnly,Error",
+		"-json=ImportPath,Dir,Export,GoFiles,DepOnly,Error",
 		"--",
 	}
 	args = append(args, patterns...)

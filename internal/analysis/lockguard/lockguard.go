@@ -1,18 +1,13 @@
 // Package lockguard enforces the project's mutex-hygiene contract with
-// three checks, two of them path-sensitive on the CFG layer:
+// two path-sensitive checks on the CFG layer (copying a lock by value
+// is go vet's copylocks check, which CI runs):
 //
-//  1. Copy-by-value: a sync.Mutex/sync.RWMutex (or any struct that
-//     transitively contains one) must never be copied — a copy shares
-//     no lock state, so the guarded invariant silently evaporates.
-//     Flagged shapes: by-value parameters and receivers, assignments
-//     that copy an existing lock-bearing lvalue, by-value call
-//     arguments, and range-value copies.
-//  2. Unlock-on-every-path: after x.Lock() (or x.RLock()) every path
+//  1. Unlock-on-every-path: after x.Lock() (or x.RLock()) every path
 //     out of the function must pass a matching x.Unlock()
 //     (x.RUnlock()) or arm a `defer x.Unlock()`. The early-return that
 //     skips the unlock is the deadlock nobody reproduces locally; the
 //     ExistsPath query over the CFG finds it statically.
-//  3. No blocking under a lock, in the concurrent-surface packages
+//  2. No blocking under a lock, in the concurrent-surface packages
 //     (internal/server, internal/parallel, internal/stream): a channel
 //     receive or send, a WaitGroup/Cond Wait, or a time.Sleep executed
 //     while a mutex is held stalls every other goroutine contending
@@ -38,17 +33,16 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "lockguard",
-	Doc: "forbid copying sync.Mutex/RWMutex by value, Lock without Unlock on some path out of the " +
-		"function, and blocking (channel ops, Wait, Sleep) while a lock is held in server/parallel/stream packages",
+	Doc: "forbid Lock without Unlock on some path out of the function, and blocking (channel ops, " +
+		"Wait, Sleep) while a lock is held in server/parallel/stream packages",
 	Run: run,
 }
 
-// blockingScopes are the package-path suffixes where check 3 applies:
+// blockingScopes are the package-path suffixes where check 2 applies:
 // the packages that own the project's concurrent surface.
 var blockingScopes = []string{"internal/server", "internal/parallel", "internal/stream"}
 
 func run(pass *analysis.Pass) error {
-	checkCopies(pass)
 	inScope := false
 	for _, s := range blockingScopes {
 		if analysis.PathHasSuffix(pass.PkgPath, s) {
@@ -75,113 +69,6 @@ func run(pass *analysis.Pass) error {
 	}
 	return nil
 }
-
-// ---- check 1: copy-by-value ----
-
-func checkCopies(pass *analysis.Pass) {
-	analysis.Preorder(pass.Files, func(n ast.Node) {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			if n.Recv != nil {
-				checkFieldList(pass, n.Recv, "receiver")
-			}
-			checkFieldList(pass, n.Type.Params, "parameter")
-		case *ast.FuncLit:
-			checkFieldList(pass, n.Type.Params, "parameter")
-		case *ast.AssignStmt:
-			for _, rhs := range n.Rhs {
-				if isLockCopySource(pass, rhs) {
-					pass.Reportf(rhs.Pos(), "assignment copies %s by value: a copy shares no lock state — use a pointer", lockTypeName(pass.TypesInfo.TypeOf(rhs)))
-				}
-			}
-		case *ast.CallExpr:
-			for _, arg := range n.Args {
-				if isLockCopySource(pass, arg) {
-					pass.Reportf(arg.Pos(), "call passes %s by value: the callee locks a private copy — pass a pointer", lockTypeName(pass.TypesInfo.TypeOf(arg)))
-				}
-			}
-		case *ast.RangeStmt:
-			if n.Value != nil {
-				if t := pass.TypesInfo.TypeOf(n.Value); t != nil && containsLock(t) {
-					pass.Reportf(n.Value.Pos(), "range value copies %s by value per iteration: range over indices or pointers instead", lockTypeName(t))
-				}
-			}
-		}
-	})
-}
-
-func checkFieldList(pass *analysis.Pass, fl *ast.FieldList, kind string) {
-	if fl == nil {
-		return
-	}
-	for _, f := range fl.List {
-		t := pass.TypesInfo.TypeOf(f.Type)
-		if t == nil || !containsLock(t) {
-			continue
-		}
-		pass.Reportf(f.Type.Pos(), "%s takes %s by value: every call copies the lock — use a pointer", kind, lockTypeName(t))
-	}
-}
-
-// isLockCopySource reports whether expr is an existing lvalue of a
-// lock-containing value type — the copy shapes that duplicate a
-// possibly-used lock. Fresh values (composite literals, calls) and
-// pointers are fine.
-func isLockCopySource(pass *analysis.Pass, expr ast.Expr) bool {
-	switch ast.Unparen(expr).(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-	default:
-		return false
-	}
-	t := pass.TypesInfo.TypeOf(expr)
-	return t != nil && containsLock(t)
-}
-
-// containsLock reports whether t holds a sync.Mutex or sync.RWMutex by
-// value, directly or through nested structs and arrays.
-func containsLock(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if isLockType(t) {
-		return true
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLock(u.Field(i).Type()) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLock(u.Elem())
-	}
-	return false
-}
-
-func isLockType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
-}
-
-// lockTypeName renders the offending type for the message, preferring
-// the concrete sync type when the copy IS the lock.
-func lockTypeName(t types.Type) string {
-	if t == nil {
-		return "a sync.Mutex"
-	}
-	if isLockType(t) {
-		return t.String()
-	}
-	return t.String() + " (contains a sync.Mutex)"
-}
-
-// ---- checks 2 and 3: lock/unlock paths over the CFG ----
 
 // lockCall describes one x.Lock()/x.RLock() statement.
 type lockCall struct {
@@ -213,7 +100,7 @@ func checkLockPaths(pass *analysis.Pass, body *ast.BlockStmt, blockingScope bool
 	if len(locks) == 0 {
 		return
 	}
-	g := pass.CFG(body)
+	g := cfg.New(body)
 	for _, lc := range locks {
 		src := g.BlockOf(lc.stmt)
 		if src == nil {

@@ -1,5 +1,5 @@
 // Package lockguard is the golden fixture for the lockguard analyzer:
-// no lock copies, and every Lock matched by an Unlock on every path.
+// every Lock matched by an Unlock on every path.
 // (The blocking-under-lock check is scoped to server/parallel/stream
 // package paths and is exercised by the internal/stream fixture.)
 package lockguard
@@ -28,52 +28,6 @@ func (c *Counter) Get() int {
 	v := c.n
 	c.mu.Unlock()
 	return v
-}
-
-// ValueReceiver copies the whole counter, lock included.
-func (c Counter) ValueReceiver() int { // want "receiver takes .* by value"
-	return c.n
-}
-
-// ByValueParam copies the lock at every call site.
-func ByValueParam(c Counter) int { // want "parameter takes .* by value"
-	return c.n
-}
-
-// CopyAssign duplicates a live lock via plain assignment.
-func CopyAssign(c *Counter) int {
-	snapshot := *c // want "assignment copies .* by value"
-	return snapshot.n
-}
-
-// CopyArg passes a live lock by value into a call.
-func CopyArg(c *Counter) int {
-	return ByValueParam(*c) // want "call passes .* by value"
-}
-
-// CopyRange copies one lock per iteration.
-func CopyRange(cs []Counter) int {
-	total := 0
-	for _, c := range cs { // want "range value copies .* by value"
-		total += c.n
-	}
-	return total
-}
-
-// FreshValue builds a new counter in place: composite literals are not
-// copies of a live lock, no finding.
-func FreshValue() *Counter {
-	c := Counter{}
-	return &c
-}
-
-// PointerEverywhere is the clean version of all the copy shapes.
-func PointerEverywhere(cs []*Counter) int {
-	total := 0
-	for _, c := range cs {
-		total += c.Get()
-	}
-	return total
 }
 
 // LeakOnError is the early return that skips the unlock.

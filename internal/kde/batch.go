@@ -9,11 +9,9 @@ import (
 	"udm/internal/udmerr"
 )
 
-// This file holds the batch-evaluation engines plus the deprecated
-// positional/context API surface they used to be exposed through. The
-// canonical entry points are the BatchOptions-taking forms in
-// batchopts.go; everything exported here is a thin wrapper kept for
-// compatibility and flagged in-tree by the depapi analyzer.
+// This file holds the batch-evaluation engines. Only the
+// BatchOptions-taking forms in batchopts.go call them, after resolving
+// the context (never nil) and the worker count.
 
 // QEstimator is an Estimator that can also evaluate the expected
 // density at an uncertain query point (a query with its own per-
@@ -32,9 +30,6 @@ type QEstimator interface {
 // are read-only after construction and therefore safe to share across
 // the workers. Cancelling ctx aborts the batch and returns ctx.Err().
 func densityBatch(ctx context.Context, est Estimator, X [][]float64, dims []int, workers int) ([]float64, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	ctx, sp := obs.StartSpan(ctx, "kde.DensityBatch")
 	defer sp.End()
 	densityBatches.Inc()
@@ -59,17 +54,6 @@ func densityBatch(ctx context.Context, est Estimator, X [][]float64, dims []int,
 	})
 }
 
-// DensityBatch evaluates est at every row of X over the dimension
-// subset dims (nil means all dimensions) with up to
-// parallel.Workers(workers) goroutines, under ctx (nil =
-// context.Background()).
-//
-// Deprecated: use DensityBatchOpts, which carries context, workers and
-// the unified evaluation options in one BatchOptions value.
-func DensityBatch(ctx context.Context, est Estimator, X [][]float64, dims []int, workers int) ([]float64, error) {
-	return DensityBatchOpts(est, X, dims, BatchOptions{Ctx: ctx, Workers: workers})
-}
-
 // fastEngine returns est's SoA engine, or nil when the estimator has
 // none (non-Gaussian kernel, or an estimator type from outside this
 // package).
@@ -89,9 +73,6 @@ func fastEngine(est Estimator) *engine {
 // densityBatch) and individual Qerr rows may be nil (that query is
 // certain). Results are bit-for-bit identical for every worker count.
 func densityQBatch(ctx context.Context, est QEstimator, X, Qerr [][]float64, dims []int, workers int) ([]float64, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	ctx, sp := obs.StartSpan(ctx, "kde.DensityQBatch")
 	defer sp.End()
 	densityQBatches.Inc()
@@ -131,14 +112,6 @@ func densityQBatch(ctx context.Context, est QEstimator, X, Qerr [][]float64, dim
 	})
 }
 
-// DensityQBatch is the uncertain-query variant of DensityBatch.
-//
-// Deprecated: use DensityQBatchOpts, which carries context, workers
-// and the unified evaluation options in one BatchOptions value.
-func DensityQBatch(ctx context.Context, est QEstimator, X, Qerr [][]float64, dims []int, workers int) ([]float64, error) {
-	return DensityQBatchOpts(est, X, Qerr, dims, BatchOptions{Ctx: ctx, Workers: workers})
-}
-
 // batchDims validates the query rows and the dimension subset for a
 // batch evaluation, resolving a nil dims to all dimensions.
 func batchDims(est Estimator, X [][]float64, dims []int) ([]int, error) {
@@ -159,81 +132,12 @@ func batchDims(est Estimator, X [][]float64, dims []int) ([]int, error) {
 	return dims, nil
 }
 
-// DensityBatchContext evaluates the estimate at every row of X under a
-// caller-supplied context.
-//
-// Deprecated: use DensityBatchOpts with BatchOptions.Ctx.
-func (k *PointKDE) DensityBatchContext(ctx context.Context, X [][]float64, dims []int, workers int) ([]float64, error) {
-	return DensityBatchOpts(k, X, dims, BatchOptions{Ctx: ctx, Workers: workers})
-}
-
-// DensityBatch evaluates the estimate at every row of X over dims (nil
-// = all dimensions) using up to parallel.Workers(workers) goroutines.
-//
-// Deprecated: use DensityBatchOpts.
-func (k *PointKDE) DensityBatch(X [][]float64, dims []int, workers int) ([]float64, error) {
-	return DensityBatchOpts(k, X, dims, BatchOptions{Workers: workers})
-}
-
-// DensityQBatchContext evaluates the expected density at every
-// uncertain query row under a caller-supplied context. It requires the
-// Gaussian kernel when Qerr is non-nil, like DensityQ.
-//
-// Deprecated: use DensityQBatchOpts with BatchOptions.Ctx.
-func (k *PointKDE) DensityQBatchContext(ctx context.Context, X, Qerr [][]float64, dims []int, workers int) ([]float64, error) {
-	return DensityQBatchOpts(k, X, Qerr, dims, BatchOptions{Ctx: ctx, Workers: workers})
-}
-
-// DensityQBatch evaluates the expected density at every uncertain query
-// row of X (query errors Qerr, nil rows = certain) in parallel. It
-// requires the Gaussian kernel, like DensityQ.
-//
-// Deprecated: use DensityQBatchOpts.
-func (k *PointKDE) DensityQBatch(X, Qerr [][]float64, dims []int, workers int) ([]float64, error) {
-	return DensityQBatchOpts(k, X, Qerr, dims, BatchOptions{Workers: workers})
-}
-
-// DensityBatchContext evaluates the estimate at every row of X under a
-// caller-supplied context.
-//
-// Deprecated: use DensityBatchOpts with BatchOptions.Ctx.
-func (k *ClusterKDE) DensityBatchContext(ctx context.Context, X [][]float64, dims []int, workers int) ([]float64, error) {
-	return DensityBatchOpts(k, X, dims, BatchOptions{Ctx: ctx, Workers: workers})
-}
-
-// DensityBatch evaluates the estimate at every row of X over dims (nil
-// = all dimensions) using up to parallel.Workers(workers) goroutines.
-//
-// Deprecated: use DensityBatchOpts.
-func (k *ClusterKDE) DensityBatch(X [][]float64, dims []int, workers int) ([]float64, error) {
-	return DensityBatchOpts(k, X, dims, BatchOptions{Workers: workers})
-}
-
-// DensityQBatchContext evaluates the expected density at every
-// uncertain query row under a caller-supplied context.
-//
-// Deprecated: use DensityQBatchOpts with BatchOptions.Ctx.
-func (k *ClusterKDE) DensityQBatchContext(ctx context.Context, X, Qerr [][]float64, dims []int, workers int) ([]float64, error) {
-	return DensityQBatchOpts(k, X, Qerr, dims, BatchOptions{Ctx: ctx, Workers: workers})
-}
-
-// DensityQBatch evaluates the expected density at every uncertain query
-// row of X (query errors Qerr, nil rows = certain) in parallel.
-//
-// Deprecated: use DensityQBatchOpts.
-func (k *ClusterKDE) DensityQBatch(X, Qerr [][]float64, dims []int, workers int) ([]float64, error) {
-	return DensityQBatchOpts(k, X, Qerr, dims, BatchOptions{Workers: workers})
-}
-
 // leaveOneOutBatch is the engine behind LeaveOneOutBatchOpts: it
 // returns LeaveOneOutDensity for every training index in parallel —
 // the hot inner loop of outlier detection and likelihood cross-
 // validation. Results are bit-for-bit identical to the serial loop for
 // every worker count.
 func (k *PointKDE) leaveOneOutBatch(ctx context.Context, dims []int, workers int) ([]float64, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	ctx, sp := obs.StartSpan(ctx, "kde.LeaveOneOutBatch")
 	defer sp.End()
 	sp.Attr("points", len(k.x))
@@ -251,19 +155,4 @@ func (k *PointKDE) leaveOneOutBatch(ctx context.Context, dims []int, workers int
 	return parallel.Map(ctx, len(k.x), workers, func(i int) (float64, error) {
 		return k.LeaveOneOutDensity(i, dims), nil
 	})
-}
-
-// LeaveOneOutBatchContext returns LeaveOneOutDensity for every training
-// index in parallel under a caller-supplied context.
-//
-// Deprecated: use LeaveOneOutBatchOpts with BatchOptions.Ctx.
-func (k *PointKDE) LeaveOneOutBatchContext(ctx context.Context, dims []int, workers int) ([]float64, error) {
-	return k.LeaveOneOutBatchOpts(dims, BatchOptions{Ctx: ctx, Workers: workers})
-}
-
-// LeaveOneOutBatch is the no-context form of LeaveOneOutBatchContext.
-//
-// Deprecated: use LeaveOneOutBatchOpts.
-func (k *PointKDE) LeaveOneOutBatch(dims []int, workers int) ([]float64, error) {
-	return k.LeaveOneOutBatchOpts(dims, BatchOptions{Workers: workers})
 }

@@ -2,12 +2,14 @@ package kde
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"udm/internal/dataset"
 	"udm/internal/kernel"
 	"udm/internal/microcluster"
 	"udm/internal/rng"
+	"udm/internal/udmerr"
 )
 
 // batchFixture builds a perturbed dataset plus point and cluster
@@ -36,7 +38,7 @@ func batchFixture(t *testing.T, n int) (*dataset.Dataset, *PointKDE, *ClusterKDE
 }
 
 // TestDensityBatchMatchesSerialExactly is the tentpole determinism
-// gate: DensityBatch at P=1 and P=8 must agree bit-for-bit with each
+// gate: DensityBatchOpts at P=1 and P=8 must agree bit-for-bit with each
 // other and with the serial DensitySub loop, over full and subspace
 // dims, for both estimator kinds.
 func TestDensityBatchMatchesSerialExactly(t *testing.T) {
@@ -52,7 +54,7 @@ func TestDensityBatchMatchesSerialExactly(t *testing.T) {
 				want[i] = est.DensitySub(x, evalDims)
 			}
 			for _, workers := range []int{1, 8} {
-				got, err := DensityBatch(context.Background(), est, ds.X, dims, workers)
+				got, err := DensityBatchOpts(est, ds.X, dims, BatchOptions{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -84,7 +86,7 @@ func TestDensityQBatchMatchesSerialExactly(t *testing.T) {
 			want[i] = est.DensityQ(x, qerr[i], dims)
 		}
 		for _, workers := range []int{1, 8} {
-			got, err := DensityQBatch(context.Background(), est, ds.X, qerr, nil, workers)
+			got, err := DensityQBatchOpts(est, ds.X, qerr, nil, BatchOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,12 +96,12 @@ func TestDensityQBatchMatchesSerialExactly(t *testing.T) {
 				}
 			}
 		}
-		// nil Qerr reduces to DensityBatch.
-		plain, err := DensityQBatch(context.Background(), est, ds.X, nil, nil, 4)
+		// nil Qerr reduces to DensityBatchOpts.
+		plain, err := DensityQBatchOpts(est, ds.X, nil, nil, BatchOptions{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch, err := DensityBatch(context.Background(), est, ds.X, nil, 4)
+		batch, err := DensityBatchOpts(est, ds.X, nil, BatchOptions{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,17 +117,18 @@ func TestDensityQBatchMatchesSerialExactly(t *testing.T) {
 // malformed input.
 func TestDensityBatchValidation(t *testing.T) {
 	ds, pt, _ := batchFixture(t, 20)
-	if _, err := pt.DensityBatch([][]float64{{1, 2}}, nil, 2); err == nil {
-		t.Error("short query row accepted")
+	two := BatchOptions{Workers: 2}
+	if _, err := DensityBatchOpts(pt, [][]float64{{1, 2}}, nil, two); !errors.Is(err, udmerr.ErrDimensionMismatch) {
+		t.Errorf("short query row: got %v, want ErrDimensionMismatch", err)
 	}
-	if _, err := pt.DensityBatch(ds.X, []int{7}, 2); err == nil {
-		t.Error("out-of-range dim accepted")
+	if _, err := DensityBatchOpts(pt, ds.X, []int{7}, two); !errors.Is(err, udmerr.ErrDimensionMismatch) {
+		t.Errorf("out-of-range dim: got %v, want ErrDimensionMismatch", err)
 	}
-	if _, err := pt.DensityQBatch(ds.X, [][]float64{{1, 2, 3}}, nil, 2); err == nil {
-		t.Error("mismatched Qerr length accepted")
+	if _, err := DensityQBatchOpts(pt, ds.X, [][]float64{{1, 2, 3}}, nil, two); !errors.Is(err, udmerr.ErrDimensionMismatch) {
+		t.Errorf("mismatched Qerr length: got %v, want ErrDimensionMismatch", err)
 	}
-	if _, err := pt.DensityQBatch(ds.X, make([][]float64, ds.Len()-1), nil, 2); err == nil {
-		t.Error("wrong Qerr row count accepted")
+	if _, err := DensityQBatchOpts(pt, ds.X, make([][]float64, ds.Len()-1), nil, two); !errors.Is(err, udmerr.ErrDimensionMismatch) {
+		t.Errorf("wrong Qerr row count: got %v, want ErrDimensionMismatch", err)
 	}
 	// Non-Gaussian kernels cannot evaluate uncertain queries.
 	lap, err := NewPoint(ds, Options{Kernel: kernel.Laplace})
@@ -136,11 +139,11 @@ func TestDensityBatchValidation(t *testing.T) {
 	for i := range qerr {
 		qerr[i] = []float64{0.1, 0.1, 0.1}
 	}
-	if _, err := lap.DensityQBatch(ds.X, qerr, nil, 2); err == nil {
-		t.Error("DensityQBatch with Laplace kernel accepted")
+	if _, err := DensityQBatchOpts(lap, ds.X, qerr, nil, two); !errors.Is(err, udmerr.ErrBadOption) {
+		t.Errorf("DensityQBatchOpts with Laplace kernel: got %v, want ErrBadOption", err)
 	}
 	// Empty batch is fine.
-	out, err := pt.DensityBatch(nil, nil, 4)
+	out, err := DensityBatchOpts(pt, nil, nil, BatchOptions{Workers: 4})
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty batch: %v, %v", out, err)
 	}
@@ -150,7 +153,7 @@ func TestDensityBatchCancellation(t *testing.T) {
 	ds, pt, _ := batchFixture(t, 50)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := DensityBatch(ctx, pt, ds.X, nil, 4); err == nil {
+	if _, err := DensityBatchOpts(pt, ds.X, nil, BatchOptions{Ctx: ctx, Workers: 4}); err == nil {
 		t.Error("cancelled context did not abort the batch")
 	}
 }
@@ -163,7 +166,7 @@ func TestLeaveOneOutBatchMatchesSerial(t *testing.T) {
 		want[i] = pt.LeaveOneOutDensity(i, dims)
 	}
 	for _, workers := range []int{1, 8} {
-		got, err := pt.LeaveOneOutBatch(dims, workers)
+		got, err := pt.LeaveOneOutBatchOpts(dims, BatchOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,8 +176,8 @@ func TestLeaveOneOutBatchMatchesSerial(t *testing.T) {
 			}
 		}
 	}
-	if _, err := pt.LeaveOneOutBatch([]int{9}, 2); err == nil {
-		t.Error("out-of-range dim accepted")
+	if _, err := pt.LeaveOneOutBatchOpts([]int{9}, BatchOptions{Workers: 2}); !errors.Is(err, udmerr.ErrDimensionMismatch) {
+		t.Errorf("out-of-range dim: got %v, want ErrDimensionMismatch", err)
 	}
 }
 

@@ -9,14 +9,12 @@ import (
 	"udm/internal/udmerr"
 )
 
-// This file is the canonical batch-evaluation surface. PR 1 and PR 2
-// grew a four-way API — DensityBatch(est, X, dims, workers) package
-// functions, per-type method twins, and ...Context variants of each —
-// that forced every new knob (context, workers, accuracy, backend)
-// into either a new positional parameter or yet another variant.
-// DensityBatchOpts collapses the surface to one options-taking form
-// per operation; the old forms remain as thin deprecated wrappers (see
-// batch.go) and the depapi analyzer flags in-tree use of them.
+// This file is the batch-evaluation surface: one options-taking form
+// per operation (DensityBatchOpts, DensityQBatchOpts,
+// LeaveOneOutBatchOpts). Every per-call knob — context, workers,
+// accuracy — rides in one BatchOptions value, so a new knob is a new
+// field rather than a new positional parameter or another variant.
+// The engines behind these forms live in batch.go.
 
 // BatchOptions carries every per-call knob of a batch density
 // evaluation. The zero value is the common case: background context,
@@ -63,18 +61,17 @@ func (o BatchOptions) workers() int {
 // an approximate backend's cost model applies to grid renders, the
 // serving layer, and every other caller of the canonical API.
 //
-// This package's own estimator types do not satisfy Batcher (their
-// DensityBatch methods are the deprecated context-free forms); the
-// implementations live in internal/density.
+// This package's own estimator types do not satisfy Batcher (they have
+// no DensityBatch method; DensityBatchOpts runs them on this package's
+// engines); the implementations live in internal/density.
 type Batcher interface {
 	Estimator
 	DensityBatch(ctx context.Context, X [][]float64, dims []int, workers int) ([]float64, error)
 }
 
 // DensityBatchOpts evaluates est at every row of X over the dimension
-// subset dims (nil means all dimensions) under opt. It is the
-// canonical batch entry point: the positional DensityBatch forms and
-// the ...Context method twins are deprecated wrappers around it.
+// subset dims (nil means all dimensions) under opt. It is the one
+// batch entry point for plain (certain) queries.
 //
 // Gaussian-kernel estimators from this package run on the SoA column
 // engine — in the default exact configuration, bit-identical to the
@@ -107,7 +104,7 @@ func DensityBatchOpts(est Estimator, X [][]float64, dims []int, opt BatchOptions
 // always evaluate through this package's engines.
 func DensityQBatchOpts(est QEstimator, X, Qerr [][]float64, dims []int, opt BatchOptions) ([]float64, error) {
 	if p, ok := est.(*PointKDE); ok && Qerr != nil && p.opt.Kernel != kernel.Gaussian {
-		return nil, fmt.Errorf("kde: DensityQBatch requires the Gaussian kernel, got %v: %w", p.opt.Kernel, udmerr.ErrBadOption)
+		return nil, fmt.Errorf("kde: DensityQBatchOpts requires the Gaussian kernel, got %v: %w", p.opt.Kernel, udmerr.ErrBadOption)
 	}
 	est2, err := applyEval(est, opt.Eval)
 	if err != nil {

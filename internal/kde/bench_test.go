@@ -77,7 +77,7 @@ func BenchmarkDensityBatch(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := est.DensityBatch(d.X, nil, workers); err != nil {
+				if _, err := DensityBatchOpts(est, d.X, nil, BatchOptions{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -129,7 +129,7 @@ func BenchmarkDensityBatchPruned(b *testing.B) {
 		}
 		b.Run(m.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := est.DensityBatch(d.X, nil, 1); err != nil {
+				if _, err := DensityBatchOpts(est, d.X, nil, BatchOptions{Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}

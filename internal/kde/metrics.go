@@ -5,7 +5,7 @@ import "udm/internal/obs"
 // Hot-path telemetry. Batch entry points count work at batch
 // granularity — one span and a handful of atomic adds per call, never
 // per kernel evaluation — so instrumentation overhead stays within the
-// ≤5% budget on DensityBatch. Everything here is observational:
+// ≤5% budget on DensityBatchOpts. Everything here is observational:
 // numeric results are bit-for-bit identical with telemetry on or off.
 var (
 	densityBatches = obs.Default().Counter("udm_kde_batches_total",

@@ -51,7 +51,7 @@ func TestDensityBatchBitIdenticalToScalar(t *testing.T) {
 		}
 		for _, dims := range [][]int{nil, {0}, {1}, {0, 1}, {1, 0}} {
 			for _, workers := range []int{1, 4} {
-				got, err := est.DensityBatch(d.X, dims, workers)
+				got, err := DensityBatchOpts(est, d.X, dims, BatchOptions{Workers: workers})
 				if err != nil {
 					t.Fatalf("%s: %v", tc.name, err)
 				}
@@ -88,7 +88,7 @@ func TestDensityQBatchBitIdenticalToScalar(t *testing.T) {
 			}
 			qerr[i] = []float64{r.Float64() * 0.8, r.Float64() * 0.8}
 		}
-		got, err := est.DensityQBatch(d.X, qerr, nil, 4)
+		got, err := DensityQBatchOpts(est, d.X, qerr, nil, BatchOptions{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,12 +122,12 @@ func TestClusterBatchBitIdenticalToScalar(t *testing.T) {
 		if est.eng == nil {
 			t.Fatalf("%s: cluster estimator did not build the SoA engine", tc.name)
 		}
-		got, err := est.DensityBatch(d.X, nil, 4)
+		got, err := DensityBatchOpts(est, d.X, nil, BatchOptions{Workers: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		qe := []float64{0.3, 0.1}
-		gotQ, err := est.DensityQBatch(d.X, repeatRows(qe, len(d.X)), nil, 4)
+		gotQ, err := DensityQBatchOpts(est, d.X, repeatRows(qe, len(d.X)), nil, BatchOptions{Workers: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -163,7 +163,7 @@ func TestNonGaussianFallback(t *testing.T) {
 	if est.eng != nil {
 		t.Fatal("non-Gaussian estimator built a Gaussian SoA engine")
 	}
-	got, err := est.DensityBatch(d.X[:10], nil, 2)
+	got, err := DensityBatchOpts(est, d.X[:10], nil, BatchOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,12 +188,12 @@ func TestPrunedWithinTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := exact.DensityBatch(d.X, nil, 1)
+	want, err := DensityBatchOpts(exact, d.X, nil, BatchOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	qe := []float64{0.4, 0.2}
-	wantQ, err := exact.DensityQBatch(d.X, repeatRows(qe, len(d.X)), nil, 1)
+	wantQ, err := DensityQBatchOpts(exact, d.X, repeatRows(qe, len(d.X)), nil, BatchOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,11 +202,11 @@ func TestPrunedWithinTolerance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := pruned.DensityBatch(d.X, nil, 1)
+		got, err := DensityBatchOpts(pruned, d.X, nil, BatchOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotQ, err := pruned.DensityQBatch(d.X, repeatRows(qe, len(d.X)), nil, 1)
+		gotQ, err := DensityQBatchOpts(pruned, d.X, repeatRows(qe, len(d.X)), nil, BatchOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestPrunedClusterWithinTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := exact.DensityBatch(d.X, nil, 1)
+	want, err := DensityBatchOpts(exact, d.X, nil, BatchOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestPrunedClusterWithinTolerance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := pruned.DensityBatch(d.X, nil, 1)
+		got, err := DensityBatchOpts(pruned, d.X, nil, BatchOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,11 +314,11 @@ func TestApproxDensityRelErr(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := approx.DensityBatch(d.X, nil, 2)
+				got, err := DensityBatchOpts(approx, d.X, nil, BatchOptions{Workers: 2})
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := exact.DensityBatch(d.X, nil, 2)
+				want, err := DensityBatchOpts(exact, d.X, nil, BatchOptions{Workers: 2})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -362,11 +362,11 @@ func TestWithAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := est.DensityBatch(d.X[:20], nil, 1)
+	a, err := DensityBatchOpts(est, d.X[:20], nil, BatchOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := back.DensityBatch(d.X[:20], nil, 1)
+	b, err := DensityBatchOpts(back, d.X[:20], nil, BatchOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

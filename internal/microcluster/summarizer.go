@@ -22,7 +22,7 @@ import (
 // read-only methods (Nearest, Feature, Centroid, Sigmas, Density
 // consumers, Save) are safe to call from any number of goroutines
 // concurrently — this is the contract the parallel batch-evaluation
-// engine (internal/parallel, kde.DensityBatch) relies on, and it is
+// engine (internal/parallel, kde.DensityBatchOpts) relies on, and it is
 // exercised under the race detector in race_test.go.
 type Summarizer struct {
 	q     int

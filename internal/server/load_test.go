@@ -5,6 +5,8 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+
+	"udm/internal/kde"
 )
 
 // TestSustainedConcurrentClients is the acceptance load test: 64
@@ -35,7 +37,7 @@ func TestSustainedConcurrentClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantDensity, err := est.DensityBatch(pts, nil, 0)
+	wantDensity, err := kde.DensityBatchOpts(est, pts, nil, kde.BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -259,7 +259,7 @@ func TestDensityCacheAndBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := []float64{-1.5, 0.5}
-	direct, err := est.DensityBatch([][]float64{x}, nil, 1)
+	direct, err := kde.DensityBatchOpts(est, [][]float64{x}, nil, kde.BatchOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestDensityCacheAndBitIdentity(t *testing.T) {
 
 	// Subspace densities bypass coalescing but still go through the
 	// cache and must match direct calls too.
-	sub, err := est.DensityBatch([][]float64{x}, []int{0}, 1)
+	sub, err := kde.DensityBatchOpts(est, [][]float64{x}, []int{0}, kde.BatchOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestFacadeObservability(t *testing.T) {
 	}
 
 	ctx, sp := udm.StartSpan(context.Background(), "test.FacadeObservability")
-	on, err := est.DensityBatchContext(ctx, ds.X, nil, 1)
+	on, err := udm.DensityBatchOpts(est, ds.X, nil, udm.BatchOptions{Ctx: ctx, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestFacadeObservability(t *testing.T) {
 	if udm.TelemetryEnabled() {
 		t.Fatal("SetTelemetry(false) did not take")
 	}
-	off, err := est.DensityBatch(ds.X, nil, 1)
+	off, err := udm.DensityBatchOpts(est, ds.X, nil, udm.BatchOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,8 @@ cd "$(dirname "$0")/.."
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
-# Copy the module, skipping VCS metadata and the lint cache.
-tar --exclude=.git --exclude=.udmlint-cache --exclude='lint-timing*' -cf - . | tar -xf - -C "$work"
+# Copy the module, skipping VCS metadata.
+tar --exclude=.git -cf - . | tar -xf - -C "$work"
 
 echo "==> udmlint -fix on the copy"
 code=0

@@ -56,16 +56,17 @@
 //
 // # Context-first batch APIs
 //
-// Every parallel batch API has a context-taking form — the *Context
-// method variants (ClassifyBatchContext, DensityBatchContext,
-// PredictBatchContext, ProbabilitiesBatchContext,
-// LeaveOneOutBatchContext), TrainContext, and the BatchOptions-taking
-// facade functions — that threads cancellation down to the shared
-// worker pool: cancelling the context stops work chunks that have not
-// started and returns ctx.Err(). The context-free forms are thin
-// wrappers over context.Background() kept for convenience and
-// compatibility; long-running services (see cmd/udmserve) should use
-// the context forms so abandoned requests stop consuming CPU.
+// Every parallel batch API threads a context down to the shared worker
+// pool: the density batches through BatchOptions.Ctx
+// (DensityBatchOpts, DensityQBatchOpts and the LeaveOneOutBatchOpts
+// method), the classifier through its *Context method variants
+// (ClassifyBatchContext, PredictBatchContext,
+// ProbabilitiesBatchContext) and TrainContext. Cancelling the context
+// stops work chunks that have not started and returns ctx.Err(). The
+// classifier's context-free forms are thin wrappers over
+// context.Background() kept for convenience; long-running services
+// (see cmd/udmserve) should use the context forms so abandoned
+// requests stop consuming CPU.
 //
 // # Observability
 //
@@ -261,11 +262,10 @@ func NewPointDensity(ds *Dataset, opt DensityOptions) (*PointDensity, error) {
 	return kde.NewPoint(ds, opt)
 }
 
-// BatchOptions carries every per-call knob of a batch evaluation —
-// context, worker cap, and the unified evaluation options. It is the
-// preferred way to pass execution knobs to the facade's batch
-// functions: new APIs take a BatchOptions instead of a positional
-// workers int, and the positional forms are retained as thin wrappers.
+// BatchOptions carries every per-call knob of a batch density
+// evaluation — context, worker cap, and the unified evaluation
+// options — so the density batch functions take one BatchOptions
+// instead of positional arguments.
 type BatchOptions = kde.BatchOptions
 
 // EvalOptions is the one home for every evaluation knob: backend
@@ -318,27 +318,29 @@ func DensityBackendFromSummarizer(s *Summarizer, opt DensityOptions) (DensityBac
 	return density.FromSummarizer(s, opt)
 }
 
-// DensityBatch evaluates any density estimator at every row of X over
-// the dimension subset dims (nil = all dimensions), fanned out over up
-// to BatchWorkers(workers) goroutines. Results are bit-for-bit
-// identical for every worker count, and — in exact mode with
-// DensityOptions.Prune zero — bit-identical to the serial per-query
-// loop; Prune > 0 trades a bounded relative error for far-field
-// truncation, and a non-exact AccuracyMode additionally enables the
-// fast-exponential surrogate.
-//
-// Deprecated: use DensityBatchOpts, which carries context, workers and
-// the unified evaluation options in one BatchOptions value.
-func DensityBatch(est DensityEstimator, X [][]float64, dims []int, workers int) ([]float64, error) {
-	return DensityBatchOpts(est, X, dims, BatchOptions{Workers: workers})
-}
-
-// DensityBatchOpts is the canonical batch evaluation: opt.Ctx cancels
-// the batch, opt.Workers caps the fan-out, and opt.Eval selects
-// backend and accuracy. Estimators that are themselves a
-// DensityBackend evaluate the batch under their own contract.
+// DensityBatchOpts evaluates any density estimator at every row of X
+// over the dimension subset dims (nil = all dimensions): opt.Ctx
+// cancels the batch, opt.Workers caps the fan-out, and opt.Eval
+// selects accuracy. Results are bit-for-bit identical for every worker
+// count, and — in exact mode with DensityOptions.Prune zero —
+// bit-identical to the serial per-query loop; Prune > 0 trades a
+// bounded relative error for far-field truncation, and a non-exact
+// AccuracyMode additionally enables the fast-exponential surrogate.
+// Estimators that are themselves a DensityBackend evaluate the batch
+// under their own contract.
 func DensityBatchOpts(est DensityEstimator, X [][]float64, dims []int, opt BatchOptions) ([]float64, error) {
 	return kde.DensityBatchOpts(est, X, dims, opt)
+}
+
+// DensityQBatchOpts is the uncertain-query form of DensityBatchOpts:
+// row i is evaluated as the expected density at a query with
+// per-dimension standard errors Qerr[i]. est is a *PointDensity or
+// *ClusterDensity. A nil Qerr row marks a certain query, and a nil Qerr
+// makes every query certain, reproducing DensityBatchOpts. Uncertain
+// queries need the Gaussian kernel. Results are bit-identical to the
+// per-query DensityQ loop for every worker count.
+func DensityQBatchOpts(est kde.QEstimator, X, Qerr [][]float64, dims []int, opt BatchOptions) ([]float64, error) {
+	return kde.DensityQBatchOpts(est, X, Qerr, dims, opt)
 }
 
 // BatchWorkers resolves a workers argument the way every *Batch API in
