@@ -1,7 +1,6 @@
 package udm_test
 
 import (
-	"context"
 	"testing"
 
 	"udm"
@@ -9,15 +8,15 @@ import (
 
 // These tests pin the density-backend facade: EvalOptions parsing, the
 // backend constructors, the Info contract, and the canonical
-// DensityBatchOpts path delegating to a pluggable backend.
+// DensityBatchOpts path over every rung.
 
 func TestFacadeParseEvalOptions(t *testing.T) {
-	opt, err := udm.ParseEvalOptions("backend=hbe,epsilon=0.05,workers=2,seed=9")
+	opt, err := udm.ParseEvalOptions("backend=grid,epsilon=0.05,workers=2,seed=9")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.Backend != udm.BackendHBE || opt.Epsilon != 0.05 || opt.Workers != 2 || opt.Seed != 9 {
-		t.Errorf("parsed %+v, want hbe/0.05/2 workers/seed 9", opt)
+	if opt.Backend != udm.BackendGrid || opt.Epsilon != 0.05 || opt.Workers != 2 || opt.Seed != 9 {
+		t.Errorf("parsed %+v, want grid/0.05/2 workers/seed 9", opt)
 	}
 	// The canonical String form round-trips.
 	back, err := udm.ParseEvalOptions(opt.String())
@@ -45,11 +44,11 @@ func TestFacadeDensityBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := udm.NewDensityBackend(noisy, udm.DensityOptions{ErrorAdjust: true})
+	exact, info, err := udm.NewDensityBackend(noisy, udm.DensityOptions{ErrorAdjust: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info := exact.Info(); !info.Exact || info.Backend != udm.BackendExact {
+	if !info.Exact || info.Backend != udm.BackendExact {
 		t.Errorf("default backend info = %+v, want exact", info)
 	}
 	Q := noisy.X[:50]
@@ -58,21 +57,20 @@ func TestFacadeDensityBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, kind := range []udm.DensityBackendKind{udm.BackendMicro, udm.BackendGrid, udm.BackendHBE} {
+	for _, kind := range []udm.DensityBackendKind{udm.BackendMicro, udm.BackendGrid} {
 		opt := udm.DensityOptions{ErrorAdjust: true}
 		opt.Eval.Backend = kind
-		b, err := udm.NewDensityBackend(noisy, opt)
+		b, info, err := udm.NewDensityBackend(noisy, opt)
 		if err != nil {
 			t.Fatalf("backend %s: %v", kind, err)
 		}
-		info := b.Info()
 		if info.Backend != kind || info.Contract == "" {
 			t.Errorf("backend %s info = %+v", kind, info)
 		}
-		// The canonical batch path delegates to the backend. Grid and hbe
-		// advertise a relative-error bound against the exact answer; the
-		// micro rung is exact over its compressed summary, so against the
-		// raw-point reference only a loose sanity tolerance applies.
+		// Every rung runs on the canonical batch path. Grid advertises a
+		// relative-error bound against the exact answer; the micro rung
+		// is exact over its compressed summary, so against the raw-point
+		// reference only a loose sanity tolerance applies.
 		got, err := udm.DensityBatchOpts(b, Q, nil, udm.BatchOptions{Workers: 2})
 		if err != nil {
 			t.Fatalf("backend %s batch: %v", kind, err)
@@ -90,14 +88,6 @@ func TestFacadeDensityBackends(t *testing.T) {
 				t.Fatalf("backend %s query %d: rel err %v > advertised %v", kind, i, rel, tol)
 			}
 		}
-		// The context-first DensityBatch method is the delegation hook.
-		direct, err := b.DensityBatch(context.Background(), Q[:5], nil, 1)
-		if err != nil {
-			t.Fatalf("backend %s direct: %v", kind, err)
-		}
-		if len(direct) != 5 {
-			t.Fatalf("backend %s direct returned %d values", kind, len(direct))
-		}
 	}
 }
 
@@ -109,7 +99,7 @@ func TestFacadeBackendFromSummarizer(t *testing.T) {
 	sum := udm.Summarize(clean, 30, udm.NewRand(52))
 	opt := udm.DensityOptions{}
 	opt.Eval.Backend = udm.BackendMicro
-	b, err := udm.DensityBackendFromSummarizer(sum, opt)
+	b, _, err := udm.DensityBackendFromSummarizer(sum, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

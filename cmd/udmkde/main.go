@@ -1,7 +1,7 @@
 // Command udmkde evaluates error-adjusted kernel densities from a CSV
 // data set: a 1-D grid (values or ASCII plot) or a 2-D ASCII heat map,
 // from exact point kernels, a micro-cluster compression, or one of the
-// approximate density backends (hbe, grid, micro), with Silverman or
+// approximate density backends (micro, grid), with Silverman or
 // likelihood-CV bandwidths.
 //
 // Usage:
@@ -10,7 +10,7 @@
 //	udmkde -in data.csv -dim age -plot
 //	udmkde -in data.csv -dim x -dim2 y -grid 30
 //	udmkde -in data.csv -dim v -q 200 -cv
-//	udmkde -in data.csv -dim v -backend hbe
+//	udmkde -in data.csv -dim v -backend micro
 //	udmkde -in data.csv -dim v -eval backend=grid,epsilon=0.05,cells=256
 package main
 
@@ -39,11 +39,11 @@ func main() {
 		cv      = flag.Bool("cv", false, "select bandwidths by leave-one-out likelihood instead of Silverman")
 		noAdj   = flag.Bool("no-adjust", false, "ignore error columns")
 		plot    = flag.Bool("plot", false, "render the 1-D curve as an ASCII chart instead of values")
-		seed    = flag.Int64("seed", 1, "random seed (micro-cluster ordering, randomized backends)")
+		seed    = flag.Int64("seed", 1, "random seed (micro-cluster ordering)")
 		prune   = flag.Float64("prune", 0, "far-field truncation tolerance (relative error bound; 0 = exact)")
 		approx  = flag.Float64("approx", 0, "bounded-error fast-exp budget epsilon (0 = exact; Gaussian kernel only)")
-		backend = flag.String("backend", "", "density backend: exact (default), hbe, grid or micro")
-		evalStr = flag.String("eval", "", "unified evaluation options, e.g. backend=hbe,epsilon=0.05 (see evalopt grammar; individual flags fill unset keys)")
+		backend = flag.String("backend", "", "density backend: exact (default), grid or micro")
+		evalStr = flag.String("eval", "", "unified evaluation options, e.g. backend=grid,epsilon=0.05 (see evalopt grammar; individual flags fill unset keys)")
 	)
 	flag.Parse()
 	if *in == "" || *dimName == "" {
@@ -93,27 +93,29 @@ func main() {
 		fmt.Fprintf(os.Stderr, "udmkde: CV bandwidths %v\n", h)
 	}
 
-	// Every configuration routes through the density-backend layer; the
-	// default (exact) backend wraps the same point/cluster estimators as
-	// before, bit-identically.
-	var b density.Backend
+	// Every configuration routes through the density-backend ladder; the
+	// default (exact) backend is the same point/cluster estimator as a
+	// direct kde build, bit-identically.
+	var (
+		est  kde.Estimator
+		info density.Info
+	)
 	if *q > 0 {
 		s := microcluster.Build(ds, *q, rng.New(ev.EffSeed()))
-		b, err = density.FromSummarizer(s, opt)
+		est, info, err = density.FromSummarizer(s, opt)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "udmkde: %d rows compressed into %d micro-clusters\n", ds.Len(), s.Len())
 	} else {
-		b, err = density.New(ds, opt)
+		est, info, err = density.New(ds, opt)
 		if err != nil {
 			fatal(err)
 		}
 	}
-	if info := b.Info(); !info.Exact {
+	if !info.Exact {
 		fmt.Fprintf(os.Stderr, "udmkde: backend %s\n", info)
 	}
-	est := kde.Estimator(b)
 	bopt := kde.BatchOptions{Workers: 1, Eval: ev}
 
 	lo, hi := ds.MinMax()

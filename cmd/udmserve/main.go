@@ -189,9 +189,9 @@ func main() {
 		fatal(err)
 	}
 	// The stand-alone -prune flag fills in when the -eval string left it
-	// unset, so existing invocations keep their meaning. The Epsilon /
-	// Delta / cells / q / seed defaults parsed here configure the
-	// approximate backends that requests select per call.
+	// unset, so existing invocations keep their meaning. The epsilon and
+	// cells defaults parsed here configure the grid backend that
+	// requests select per call.
 	if ev.Prune == 0 {
 		ev.Prune = *prune
 	}

@@ -1,7 +1,6 @@
 package density
 
 import (
-	"context"
 	"testing"
 
 	"udm/internal/datagen"
@@ -13,9 +12,9 @@ import (
 
 // BenchmarkBackendDensityBatch compares the full ladder on one data set
 // and one query batch, per backend: the exact SoA engine, the micro
-// pseudo-point compression, the grid moment aggregation, and the hbe
-// sampler at a size where its sampling path engages. scripts/bench_kde.sh
-// scrapes these series into the BENCH_kde.json trajectory.
+// pseudo-point compression and the grid moment aggregation.
+// scripts/bench_kde.sh scrapes these series into the BENCH_kde.json
+// trajectory.
 func BenchmarkBackendDensityBatch(b *testing.B) {
 	ds0, err := datagen.TwoBlobs(4).Generate(20000, rng.New(21))
 	if err != nil {
@@ -26,10 +25,8 @@ func BenchmarkBackendDensityBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	Q := ds.X[:256]
-	for _, bk := range []evalopt.Backend{
-		evalopt.BackendExact, evalopt.BackendMicro, evalopt.BackendGrid, evalopt.BackendHBE,
-	} {
-		est, err := New(ds, kde.Options{
+	for _, bk := range []evalopt.Backend{evalopt.BackendExact, evalopt.BackendMicro, evalopt.BackendGrid} {
+		est, _, err := New(ds, kde.Options{
 			ErrorAdjust: true,
 			Eval:        evalopt.Options{Backend: bk},
 		})
@@ -38,7 +35,7 @@ func BenchmarkBackendDensityBatch(b *testing.B) {
 		}
 		b.Run("backend="+string(bk), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := est.DensityBatch(context.Background(), Q, nil, 1); err != nil {
+				if _, err := kde.DensityBatchOpts(est, Q, nil, kde.BatchOptions{Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}

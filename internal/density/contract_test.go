@@ -1,7 +1,6 @@
 package density
 
 import (
-	"context"
 	"errors"
 	"math"
 	"testing"
@@ -17,11 +16,11 @@ import (
 	"udm/internal/uncertain"
 )
 
-// The contract suite is the tentpole's acceptance gate: every
+// The contract suite is the ladder's acceptance gate: every
 // approximate backend is run against the exact engine on seeded
-// datagen scenarios and must stay within the ε bound its own Info()
-// advertises. Seeds are fixed everywhere, so results — including the
-// hbe sampler's — are fully deterministic.
+// datagen scenarios and must stay within the ε bound its own Info
+// advertises. Seeds are fixed everywhere, so results are fully
+// deterministic.
 
 // scenario builds a seeded uncertain dataset from a generator profile.
 type scenario struct {
@@ -56,11 +55,11 @@ func scenarios(t *testing.T, n int) []scenario {
 
 // maxRelErr compares a backend's batch output to the exact reference
 // at the dataset's own rows (in-box, non-vanishing densities).
-func maxRelErr(t *testing.T, b Backend, exact []float64, X [][]float64) float64 {
+func maxRelErr(t *testing.T, est kde.Estimator, exact []float64, X [][]float64) float64 {
 	t.Helper()
-	got, err := b.DensityBatch(context.Background(), X, nil, 4)
+	got, err := kde.DensityBatchOpts(est, X, nil, kde.BatchOptions{Workers: 4})
 	if err != nil {
-		t.Fatalf("%s: DensityBatch: %v", b.Info().Backend, err)
+		t.Fatalf("DensityBatchOpts: %v", err)
 	}
 	var worst float64
 	for i := range got {
@@ -95,15 +94,14 @@ func TestExactBackendBitIdentical(t *testing.T) {
 		ref := exactReference(t, sc.ds)
 		for _, bk := range []evalopt.Backend{evalopt.BackendDefault, evalopt.BackendExact} {
 			opt := kde.Options{ErrorAdjust: true, Eval: evalopt.Options{Backend: bk}}
-			b, err := New(sc.ds, opt)
+			b, info, err := New(sc.ds, opt)
 			if err != nil {
 				t.Fatalf("%s: New(%q): %v", sc.name, bk, err)
 			}
-			info := b.Info()
 			if !info.Exact || info.Epsilon != 0 {
 				t.Errorf("%s: exact backend Info = %+v, want Exact", sc.name, info)
 			}
-			got, err := b.DensityBatch(context.Background(), sc.ds.X, nil, 3)
+			got, err := kde.DensityBatchOpts(b, sc.ds.X, nil, kde.BatchOptions{Workers: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,11 +131,10 @@ func TestGridBackendHonorsAdvertisedBound(t *testing.T) {
 			{Backend: evalopt.BackendGrid, Epsilon: 0.02},  // tight ε
 			{Backend: evalopt.BackendGrid, GridCells: 100}, // explicit resolution
 		} {
-			b, err := New(sc.ds, kde.Options{ErrorAdjust: true, Eval: eval})
+			b, info, err := New(sc.ds, kde.Options{ErrorAdjust: true, Eval: eval})
 			if err != nil {
 				t.Fatalf("%s: New(grid): %v", sc.name, err)
 			}
-			info := b.Info()
 			if info.Exact || info.Epsilon <= 0 {
 				t.Fatalf("%s: grid Info = %+v", sc.name, info)
 			}
@@ -151,78 +148,13 @@ func TestGridBackendHonorsAdvertisedBound(t *testing.T) {
 	}
 }
 
-// TestHBEBackendHonorsAdvertisedBound: the sampler's (ε, δ) contract,
-// deterministic under the fixed seed. δ is driven low so even the
-// union over all test queries stays within the bound.
-func TestHBEBackendHonorsAdvertisedBound(t *testing.T) {
-	for _, sc := range scenarios(t, 1200) {
-		ref := exactReference(t, sc.ds)
-		eval := evalopt.Options{Backend: evalopt.BackendHBE, Epsilon: 0.1, Delta: 1e-6, Seed: 5}
-		b, err := New(sc.ds, kde.Options{ErrorAdjust: true, Eval: eval})
-		if err != nil {
-			t.Fatalf("%s: New(hbe): %v", sc.name, err)
-		}
-		info := b.Info()
-		if info.Exact || info.Epsilon != 0.1 || info.Delta != 1e-6 {
-			t.Fatalf("%s: hbe Info = %+v", sc.name, info)
-		}
-		if worst := maxRelErr(t, b, ref, sc.ds.X); worst > info.Epsilon {
-			t.Errorf("%s: hbe rel err %.4g > advertised %.4g", sc.name, worst, info.Epsilon)
-		}
-	}
-}
-
-// TestHBEDeterminism: fixed seed ⇒ bit-identical results across worker
-// counts and batch splits; different seed ⇒ an independent sample.
-func TestHBEDeterminism(t *testing.T) {
-	sc := scenarios(t, 1500)[0]
-	build := func(seed int64) Backend {
-		b, err := New(sc.ds, kde.Options{ErrorAdjust: true,
-			Eval: evalopt.Options{Backend: evalopt.BackendHBE, Seed: seed}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	b := build(7)
-	one, err := b.DensityBatch(context.Background(), sc.ds.X, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eight, err := b.DensityBatch(context.Background(), sc.ds.X, nil, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range one {
-		if one[i] != eight[i] {
-			t.Fatalf("worker count changes hbe result at %d: %g vs %g", i, one[i], eight[i])
-		}
-	}
-	// Batch composition independence: evaluating a single row matches
-	// its slot in the full batch.
-	if v := b.Density(sc.ds.X[3]); v != one[3] {
-		t.Errorf("single-query result %g != batch slot %g", v, one[3])
-	}
-	// Rebuild with the same seed: identical. Different seed: the
-	// estimates remain within contract but need not be identical.
-	same, err := build(7).DensityBatch(context.Background(), sc.ds.X, nil, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range one {
-		if one[i] != same[i] {
-			t.Fatalf("rebuild with same seed differs at %d", i)
-		}
-	}
-}
-
 // TestMicroBackendExactOverSummary: the micro rung is bit-identical to
 // ClusterKDE over the same summary — Definition 1's additivity is the
 // whole contract.
 func TestMicroBackendExactOverSummary(t *testing.T) {
 	sc := scenarios(t, 600)[0]
 	eval := evalopt.Options{Backend: evalopt.BackendMicro, MicroClusters: 60, Seed: 3}
-	b, err := New(sc.ds, kde.Options{ErrorAdjust: true, Eval: eval})
+	b, info, err := New(sc.ds, kde.Options{ErrorAdjust: true, Eval: eval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +168,7 @@ func TestMicroBackendExactOverSummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := b.DensityBatch(context.Background(), sc.ds.X, nil, 2)
+	got, err := kde.DensityBatchOpts(b, sc.ds.X, nil, kde.BatchOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,14 +177,14 @@ func TestMicroBackendExactOverSummary(t *testing.T) {
 			t.Fatalf("micro backend differs from ClusterKDE at %d: %g vs %g", i, got[i], want[i])
 		}
 	}
-	if info := b.Info(); info.Backend != evalopt.BackendMicro || info.Exact {
+	if info.Backend != evalopt.BackendMicro || info.Exact {
 		t.Errorf("micro Info = %+v", info)
 	}
 }
 
 // TestFromSummarizerLadder: every backend builds from a summary; exact
-// and micro coincide bit-for-bit, grid and hbe stay within contract
-// against the summary-exact reference.
+// and micro coincide bit-for-bit, grid stays within contract against
+// the summary-exact reference.
 func TestFromSummarizerLadder(t *testing.T) {
 	sc := scenarios(t, 800)[0]
 	s := microcluster.Build(sc.ds, 120, rng.New(4))
@@ -266,12 +198,12 @@ func TestFromSummarizerLadder(t *testing.T) {
 	}
 	infos := map[evalopt.Backend]Info{}
 	for _, bk := range []evalopt.Backend{evalopt.BackendExact, evalopt.BackendMicro} {
-		b, err := FromSummarizer(s, kde.Options{ErrorAdjust: true, Eval: evalopt.Options{Backend: bk}})
+		b, info, err := FromSummarizer(s, kde.Options{ErrorAdjust: true, Eval: evalopt.Options{Backend: bk}})
 		if err != nil {
 			t.Fatalf("FromSummarizer(%q): %v", bk, err)
 		}
-		infos[bk] = b.Info()
-		got, err := b.DensityBatch(context.Background(), sc.ds.X, nil, 2)
+		infos[bk] = info
+		got, err := kde.DensityBatchOpts(b, sc.ds.X, nil, kde.BatchOptions{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,21 +220,19 @@ func TestFromSummarizerLadder(t *testing.T) {
 	}
 	for _, eval := range []evalopt.Options{
 		{Backend: evalopt.BackendGrid},
-		{Backend: evalopt.BackendHBE, Delta: 1e-6},
 	} {
-		b, err := FromSummarizer(s, kde.Options{ErrorAdjust: true, Eval: eval})
+		b, info, err := FromSummarizer(s, kde.Options{ErrorAdjust: true, Eval: eval})
 		if err != nil {
 			t.Fatalf("FromSummarizer(%+v): %v", eval, err)
 		}
-		if worst := maxRelErr(t, b, want, sc.ds.X); worst > b.Info().Epsilon {
-			t.Errorf("%q over summary: rel err %.4g > advertised %.4g", eval.Backend, worst, b.Info().Epsilon)
+		if worst := maxRelErr(t, b, want, sc.ds.X); worst > info.Epsilon {
+			t.Errorf("%q over summary: rel err %.4g > advertised %.4g", eval.Backend, worst, info.Epsilon)
 		}
 	}
 }
 
-// TestSubspaceQueriesStayWithinLadder: DensityBatch over a dims subset
-// works on every backend (hbe falls back to exact, grid/micro evaluate
-// their pseudo-points) and exact matches the reference.
+// TestSubspaceQueriesStayWithinLadder: a batch over a dims subset
+// works on the default and exact backends and matches the reference.
 func TestSubspaceQueriesStayWithinLadder(t *testing.T) {
 	sc := scenarios(t, 500)[0]
 	est, err := kde.NewPoint(sc.ds, kde.Options{ErrorAdjust: true})
@@ -313,12 +243,12 @@ func TestSubspaceQueriesStayWithinLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bk := range []evalopt.Backend{evalopt.BackendExact, evalopt.BackendHBE} {
-		b, err := New(sc.ds, kde.Options{ErrorAdjust: true, Eval: evalopt.Options{Backend: bk}})
+	for _, bk := range []evalopt.Backend{evalopt.BackendDefault, evalopt.BackendExact} {
+		b, _, err := New(sc.ds, kde.Options{ErrorAdjust: true, Eval: evalopt.Options{Backend: bk}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := b.DensityBatch(context.Background(), sc.ds.X, []int{0}, 2)
+		got, err := kde.DensityBatchOpts(b, sc.ds.X, []int{0}, kde.BatchOptions{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,15 +266,12 @@ func TestInvalidOptionCombos(t *testing.T) {
 	sc := scenarios(t, 50)[0]
 	cases := []kde.Options{
 		{Eval: evalopt.Options{Backend: "forest"}},
-		{Eval: evalopt.Options{Backend: evalopt.BackendHBE, Epsilon: -0.5}},
-		{Eval: evalopt.Options{Backend: evalopt.BackendHBE, Delta: 1.5}},
-		{Eval: evalopt.Options{Backend: evalopt.BackendHBE}, PaperKernel: true, ErrorAdjust: true},
-		{Eval: evalopt.Options{Backend: evalopt.BackendHBE, Accuracy: kernel.Approx(1e-6)}},
-		{Eval: evalopt.Options{Backend: evalopt.BackendHBE}, Kernel: kernel.Epanechnikov},
+		{Eval: evalopt.Options{Backend: "hbe"}},
+		{Eval: evalopt.Options{Backend: evalopt.BackendGrid, Epsilon: -0.5}},
 		{Eval: evalopt.Options{Backend: evalopt.BackendGrid, GridCells: evalopt.MaxGridCells + 1}},
 	}
 	for _, opt := range cases {
-		if _, err := New(sc.ds, opt); err == nil {
+		if _, _, err := New(sc.ds, opt); err == nil {
 			t.Errorf("New(%+v): want error", opt)
 		} else if !errors.Is(err, udmerr.ErrBadOption) {
 			t.Errorf("New(%+v) error %v does not wrap ErrBadOption", opt, err)
@@ -356,36 +283,21 @@ func TestInvalidOptionCombos(t *testing.T) {
 		t.Fatal(err)
 	}
 	if wide.Dims() > evalopt.MaxGridDims {
-		if _, err := New(wide, kde.Options{Eval: evalopt.Options{Backend: evalopt.BackendGrid}}); !errors.Is(err, udmerr.ErrBadOption) {
+		if _, _, err := New(wide, kde.Options{Eval: evalopt.Options{Backend: evalopt.BackendGrid}}); !errors.Is(err, udmerr.ErrBadOption) {
 			t.Errorf("grid over %d dims: %v, want ErrBadOption", wide.Dims(), err)
 		}
 	}
 }
 
-// TestBatcherDelegation: the canonical kde batch API hands whole
-// batches to a Backend, so grid renders and the facade honor backend
-// selection without knowing about this package.
-func TestBatcherDelegation(t *testing.T) {
+// TestGridRungRendersGrid: the grid renderers take the grid rung's
+// estimator like any other, through the canonical batch API.
+func TestGridRungRendersGrid(t *testing.T) {
 	sc := scenarios(t, 900)[0]
-	b, err := New(sc.ds, kde.Options{ErrorAdjust: true,
-		Eval: evalopt.Options{Backend: evalopt.BackendHBE, Seed: 21}})
+	b, _, err := New(sc.ds, kde.Options{ErrorAdjust: true,
+		Eval: evalopt.Options{Backend: evalopt.BackendGrid}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := b.DensityBatch(context.Background(), sc.ds.X[:50], nil, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaKDE, err := kde.DensityBatchOpts(b, sc.ds.X[:50], nil, kde.BatchOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range direct {
-		if direct[i] != viaKDE[i] {
-			t.Fatalf("delegation changes result at %d: %g vs %g", i, direct[i], viaKDE[i])
-		}
-	}
-	// Grid renders flow through the same delegation.
 	lo, hi := sc.ds.MinMax()
 	_, ys, err := kde.Grid1DOpts(b, 0, lo[0], hi[0], 32, kde.BatchOptions{})
 	if err != nil {
@@ -396,27 +308,29 @@ func TestBatcherDelegation(t *testing.T) {
 	}
 }
 
-// TestWithAccuracyLadder: kde-backed rungs switch kernel accuracy
-// cheaply; hbe rejects non-exact modes.
+// TestWithAccuracyLadder: the exact and micro rungs built under the
+// kernel surrogate stop advertising exactness and stay within its
+// budget of the exact-kernel build.
 func TestWithAccuracyLadder(t *testing.T) {
 	sc := scenarios(t, 400)[0]
 	for _, bk := range []evalopt.Backend{evalopt.BackendExact, evalopt.BackendMicro} {
-		b, err := New(sc.ds, kde.Options{ErrorAdjust: true, Eval: evalopt.Options{Backend: bk}})
+		b, _, err := New(sc.ds, kde.Options{ErrorAdjust: true, Eval: evalopt.Options{Backend: bk}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ab, err := b.WithAccuracy(kernel.Approx(1e-6))
+		acc := kernel.Approx(1e-6)
+		ab, info, err := New(sc.ds, kde.Options{ErrorAdjust: true, Eval: evalopt.Options{Backend: bk, Accuracy: acc}})
 		if err != nil {
-			t.Fatalf("%q WithAccuracy: %v", bk, err)
+			t.Fatalf("%q under %v: %v", bk, acc, err)
 		}
-		if ab.Info().Exact {
-			t.Errorf("%q approx view still advertises Exact", bk)
+		if info.Exact {
+			t.Errorf("%q under %v still advertises Exact", bk, acc)
 		}
-		ref, err := b.DensityBatch(context.Background(), sc.ds.X, nil, 2)
+		ref, err := kde.DensityBatchOpts(b, sc.ds.X, nil, kde.BatchOptions{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ab.DensityBatch(context.Background(), sc.ds.X, nil, 2)
+		got, err := kde.DensityBatchOpts(ab, sc.ds.X, nil, kde.BatchOptions{Workers: 2, Eval: evalopt.Options{Accuracy: acc}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -425,18 +339,8 @@ func TestWithAccuracyLadder(t *testing.T) {
 				continue
 			}
 			if rel := math.Abs(got[i]-ref[i]) / ref[i]; rel > 1e-6 {
-				t.Fatalf("%q approx view rel err %g > 1e-6", bk, rel)
+				t.Fatalf("%q under %v: rel err %g > 1e-6", bk, acc, rel)
 			}
 		}
-	}
-	hbe, err := New(sc.ds, kde.Options{ErrorAdjust: true, Eval: evalopt.Options{Backend: evalopt.BackendHBE}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hbe.WithAccuracy(kernel.Approx(1e-6)); !errors.Is(err, udmerr.ErrBadOption) {
-		t.Errorf("hbe WithAccuracy(approx): %v, want ErrBadOption", err)
-	}
-	if same, err := hbe.WithAccuracy(kernel.Exact()); err != nil || same != hbe {
-		t.Errorf("hbe WithAccuracy(exact) should return the receiver")
 	}
 }

@@ -36,12 +36,12 @@ import (
 // advertised bound is recomputed from the actual widths, so Info is
 // honest even when the per-dimension cap bites. Dimensionality is
 // limited to evalopt.MaxGridDims — beyond that occupied-cell counts
-// approach N and hbe is the right rung.
+// approach N and the micro rung is the scalable one.
 
 // newGridFromRows bins raw rows into cells.
-func newGridFromRows(ds *dataset.Dataset, opt kde.Options) (Backend, error) {
+func newGridFromRows(ds *dataset.Dataset, opt kde.Options) (*kde.ClusterKDE, Info, error) {
 	if ds.Len() == 0 {
-		return nil, fmt.Errorf("density: empty dataset: %w", udmerr.ErrUntrained)
+		return nil, Info{}, fmt.Errorf("density: empty dataset: %w", udmerr.ErrUntrained)
 	}
 	d := ds.Dims()
 	// Bandwidths must match the exact estimator the bound is stated
@@ -49,12 +49,12 @@ func newGridFromRows(ds *dataset.Dataset, opt kde.Options) (Backend, error) {
 	// then pass them explicitly so sizing and evaluation agree.
 	h, err := pointBandwidths(ds, opt)
 	if err != nil {
-		return nil, err
+		return nil, Info{}, err
 	}
 	lo, hi := ds.MinMax()
 	geom, err := gridGeometry(opt.Eval, h, lo, hi)
 	if err != nil {
-		return nil, err
+		return nil, Info{}, err
 	}
 	feats := make(map[uint64]*microcluster.Feature)
 	for i, x := range ds.X {
@@ -70,20 +70,20 @@ func newGridFromRows(ds *dataset.Dataset, opt kde.Options) (Backend, error) {
 		}
 		f.Add(x, er, 0)
 	}
-	return finishGrid(feats, h, geom, opt, evalopt.BackendGrid)
+	return finishGrid(feats, h, geom, opt)
 }
 
 // newGridFromSummarizer bins a summary's features into cells by
 // centroid, merging their additive statistics — coarser cells over an
 // already-compressed input.
-func newGridFromSummarizer(s *microcluster.Summarizer, opt kde.Options) (Backend, error) {
+func newGridFromSummarizer(s *microcluster.Summarizer, opt kde.Options) (*kde.ClusterKDE, Info, error) {
 	if s.Len() == 0 {
-		return nil, fmt.Errorf("density: empty summarizer: %w", udmerr.ErrUntrained)
+		return nil, Info{}, fmt.Errorf("density: empty summarizer: %w", udmerr.ErrUntrained)
 	}
 	d := s.Dims()
 	h, err := clusterBandwidths(s, opt)
 	if err != nil {
-		return nil, err
+		return nil, Info{}, err
 	}
 	lo := make([]float64, d)
 	hi := make([]float64, d)
@@ -101,7 +101,7 @@ func newGridFromSummarizer(s *microcluster.Summarizer, opt kde.Options) (Backend
 	}
 	geom, err := gridGeometry(opt.Eval, h, lo, hi)
 	if err != nil {
-		return nil, err
+		return nil, Info{}, err
 	}
 	feats := make(map[uint64]*microcluster.Feature)
 	for i := 0; i < s.Len(); i++ {
@@ -113,12 +113,12 @@ func newGridFromSummarizer(s *microcluster.Summarizer, opt kde.Options) (Backend
 		}
 		f.Merge(s.Feature(i))
 	}
-	return finishGrid(feats, h, geom, opt, evalopt.BackendGrid)
+	return finishGrid(feats, h, geom, opt)
 }
 
 // finishGrid assembles the cell features (in deterministic key order)
 // into a ClusterKDE with the explicit bandwidths the sizing used.
-func finishGrid(feats map[uint64]*microcluster.Feature, h []float64, geom gridGeom, opt kde.Options, bk evalopt.Backend) (Backend, error) {
+func finishGrid(feats map[uint64]*microcluster.Feature, h []float64, geom gridGeom, opt kde.Options) (*kde.ClusterKDE, Info, error) {
 	keys := make([]uint64, 0, len(feats))
 	for k := range feats {
 		keys = append(keys, k)
@@ -130,21 +130,21 @@ func finishGrid(feats map[uint64]*microcluster.Feature, h []float64, geom gridGe
 	}
 	s, err := microcluster.FromFeatures(ordered)
 	if err != nil {
-		return nil, fmt.Errorf("density: assembling grid cells: %w", err)
+		return nil, Info{}, fmt.Errorf("density: assembling grid cells: %w", err)
 	}
 	inner := opt
 	inner.Bandwidths = h
 	est, err := kde.NewCluster(s, inner)
 	if err != nil {
-		return nil, err
+		return nil, Info{}, err
 	}
 	eps := geom.epsilon + effPrune(opt) + effAccuracy(opt).Epsilon()
-	return &kdeBackend{est: est, info: Info{
-		Backend: bk,
+	return est, Info{
+		Backend: evalopt.BackendGrid,
 		Epsilon: eps,
 		Contract: fmt.Sprintf("deterministic rel err ≤ %g for in-box queries "+
 			"(moment-matched cells, %d occupied)", eps, len(ordered)),
-	}}, nil
+	}, nil
 }
 
 // gridGeom is the cell layout: per-dimension origin, width, count, and
@@ -163,7 +163,7 @@ type gridGeom struct {
 func gridGeometry(eval evalopt.Options, h, lo, hi []float64) (gridGeom, error) {
 	d := len(h)
 	if d > evalopt.MaxGridDims {
-		return gridGeom{}, fmt.Errorf("density: grid backend supports at most %d dimensions, data has %d (use hbe): %w",
+		return gridGeom{}, fmt.Errorf("density: grid backend supports at most %d dimensions, data has %d (use micro): %w",
 			evalopt.MaxGridDims, d, udmerr.ErrBadOption)
 	}
 	g := gridGeom{lo: lo, w: make([]float64, d), cells: make([]int, d), stride: make([]uint64, d)}

@@ -2,6 +2,7 @@ package distrib
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,13 @@ import (
 	"udm/internal/stream"
 	"udm/internal/udmerr"
 )
+
+// writeJSON answers v under status, the way a shard's front does.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v)
+}
 
 // TestIngestRetryIdempotent covers the worst mutating-RPC failure mode:
 // the shard applies the batch but the response is lost to a retryable
@@ -45,7 +53,7 @@ func TestIngestRetryIdempotent(t *testing.T) {
 			inner.ServeHTTP(httptest.NewRecorder(), r)
 			var lost server.ErrorBody
 			lost.Error.Code, lost.Error.Message = "injected_fault", "response lost after apply"
-			server.WriteJSON(w, http.StatusBadGateway, lost)
+			writeJSON(w, http.StatusBadGateway, lost)
 			return
 		}
 		inner.ServeHTTP(w, r)
@@ -83,7 +91,7 @@ func TestShardTimeoutRetried(t *testing.T) {
 			time.Sleep(300 * time.Millisecond) // well past ShardTimeout
 			return
 		}
-		server.WriteJSON(w, http.StatusOK, server.DensityResponse{Densities: []float64{0.25}})
+		writeJSON(w, http.StatusOK, server.DensityResponse{Densities: []float64{0.25}})
 	}))
 	t.Cleanup(ts.Close)
 	c := NewShardClient(0, Shard{Name: "slow", URL: ts.URL}, Options{

@@ -289,7 +289,7 @@ func (p *Proxy) handleModels(w http.ResponseWriter, r *http.Request) {
 		pm := p.models[ref]
 		out = append(out, info{Name: name, Kind: string(pm.cfg.Mode), Dims: pm.cfg.Dims, Shards: len(p.shards)})
 	}
-	server.WriteJSON(w, http.StatusOK, map[string]any{"models": out})
+	p.front.WriteJSON(w, http.StatusOK, map[string]any{"models": out})
 }
 
 func (p *Proxy) handleClassify(w http.ResponseWriter, r *http.Request) {
@@ -320,7 +320,7 @@ func (p *Proxy) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if single {
 		resp.Label = &labels[0]
 	}
-	server.WriteJSON(w, http.StatusOK, resp)
+	p.front.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (p *Proxy) handleDensity(w http.ResponseWriter, r *http.Request) {
@@ -391,7 +391,7 @@ func (p *Proxy) handleDensity(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("X-UDM-Degraded", "partial")
 			resp.Coverage = coverage
 		}
-		server.WriteJSON(w, http.StatusOK, resp)
+		p.front.WriteJSON(w, http.StatusOK, resp)
 		return
 	}
 	ds, err := pm.co.ReplicatedDensity(r.Context(), rows, req)
@@ -403,7 +403,7 @@ func (p *Proxy) handleDensity(w http.ResponseWriter, r *http.Request) {
 	if single {
 		resp.Density = &ds[0]
 	}
-	server.WriteJSON(w, http.StatusOK, resp)
+	p.front.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (p *Proxy) handleOutliers(w http.ResponseWriter, r *http.Request) {
@@ -433,7 +433,7 @@ func (p *Proxy) handleOutliers(w http.ResponseWriter, r *http.Request) {
 			p.front.Fail(w, err)
 			return
 		}
-		server.WriteJSON(w, http.StatusOK, resp)
+		p.front.WriteJSON(w, http.StatusOK, resp)
 		return
 	}
 	// Partitioned: score locally against the merged head — the exact
@@ -462,7 +462,7 @@ func (p *Proxy) handleOutliers(w http.ResponseWriter, r *http.Request) {
 	for i, v := range res.Scores {
 		scores[i] = finite(v)
 	}
-	server.WriteJSON(w, http.StatusOK, server.OutliersResponse{
+	p.front.WriteJSON(w, http.StatusOK, server.OutliersResponse{
 		Scores:    scores,
 		Outliers:  res.Outlier,
 		Threshold: finite(res.Threshold),
@@ -520,5 +520,5 @@ func (p *Proxy) handleIngest(w http.ResponseWriter, r *http.Request) {
 		p.front.Fail(w, err)
 		return
 	}
-	server.WriteJSON(w, http.StatusOK, resp)
+	p.front.WriteJSON(w, http.StatusOK, resp)
 }

@@ -1,6 +1,6 @@
 // Package evalopt holds the unified evaluation options shared by every
-// layer that evaluates densities: the kde estimators, the pluggable
-// density backends (internal/density), the udm facade, and the two
+// layer that evaluates densities: the kde estimators, the density
+// backend ladder (internal/density), the udm facade, and the two
 // user-facing surfaces (cmd/udmkde flags and cmd/udmserve's wire API).
 //
 // Before this package the evaluation knobs were scattered —
@@ -40,11 +40,6 @@ const (
 	// bit-identical to the per-query reference loop in its default
 	// configuration.
 	BackendExact Backend = "exact"
-	// BackendHBE is the hashing-based estimator: LSH-guided importance
-	// sampling with an (ε, δ) contract (Charikar & Siminelakis,
-	// arXiv:1808.10530). Sublinear per query when the density is not
-	// vanishingly small.
-	BackendHBE Backend = "hbe"
 	// BackendGrid is the low-dimensional grid estimator: cells with
 	// aggregated (CF2x, EF2x, CF1x, n) statistics per Wells & Ting
 	// (arXiv:1707.00783), evaluated as moment-matched pseudo-points.
@@ -56,12 +51,6 @@ const (
 	BackendMicro Backend = "micro"
 )
 
-// Backends lists the selectable backends in ladder order, most to
-// least exact.
-func Backends() []Backend {
-	return []Backend{BackendExact, BackendMicro, BackendGrid, BackendHBE}
-}
-
 // ParseBackend maps the wire form of a backend name to its value. The
 // empty string is BackendDefault. Unknown names return ErrBadOption.
 func ParseBackend(s string) (Backend, error) {
@@ -70,14 +59,12 @@ func ParseBackend(s string) (Backend, error) {
 		return BackendDefault, nil
 	case BackendExact:
 		return BackendExact, nil
-	case BackendHBE:
-		return BackendHBE, nil
 	case BackendGrid:
 		return BackendGrid, nil
 	case BackendMicro:
 		return BackendMicro, nil
 	}
-	return BackendDefault, fmt.Errorf("evalopt: unknown backend %q (want exact, hbe, grid or micro): %w", s, udmerr.ErrBadOption)
+	return BackendDefault, fmt.Errorf("evalopt: unknown backend %q (want exact, grid or micro): %w", s, udmerr.ErrBadOption)
 }
 
 // Options is the unified set of evaluation knobs. The zero value is
@@ -87,15 +74,10 @@ func ParseBackend(s string) (Backend, error) {
 type Options struct {
 	// Backend selects the density estimator rung. Empty means exact.
 	Backend Backend
-	// Epsilon is the approximate backend's relative-error budget: the
-	// hbe backend guarantees relative error ≤ Epsilon with probability
-	// ≥ 1−Delta per query; the grid backend sizes its cells so its
-	// advertised bound is ≤ Epsilon. 0 means each backend's default
-	// (DefaultEpsilon). Exact and micro backends ignore it.
+	// Epsilon is the grid backend's relative-error budget: it sizes
+	// its cells so its advertised bound is ≤ Epsilon. 0 means
+	// DefaultEpsilon. Exact and micro backends ignore it.
 	Epsilon float64
-	// Delta is the per-query failure probability of randomized
-	// backends (hbe). 0 means DefaultDelta.
-	Delta float64
 	// Prune is the far-field truncation tolerance of the exact engine
 	// (kde.Options.Prune): batch relative error ≤ Prune. 0 disables.
 	Prune float64
@@ -105,8 +87,8 @@ type Options struct {
 	Accuracy kernel.AccuracyMode
 	// Workers caps batch fan-out (≤ 0 = GOMAXPROCS, 1 = serial).
 	Workers int
-	// Seed drives the randomized backends (hbe sampling, micro
-	// summarization order). 0 means seed 1.
+	// Seed drives the micro backend's summarization order. 0 means
+	// seed 1.
 	Seed int64
 	// GridCells overrides the grid backend's per-dimension resolution
 	// (0 = derived from Epsilon, capped at MaxGridCells).
@@ -118,12 +100,9 @@ type Options struct {
 
 // Defaults for zero-valued fields, resolved by the backends.
 const (
-	// DefaultEpsilon is the approximate backends' relative-error budget
-	// when Options.Epsilon is 0.
+	// DefaultEpsilon is the grid backend's relative-error budget when
+	// Options.Epsilon is 0.
 	DefaultEpsilon = 0.1
-	// DefaultDelta is the randomized backends' per-query failure
-	// probability when Options.Delta is 0.
-	DefaultDelta = 1e-3
 	// DefaultMicroClusters is the micro backend's cluster budget when
 	// Options.MicroClusters is 0 — the paper's headline configuration,
 	// matching core.DefaultMicroClusters.
@@ -133,9 +112,10 @@ const (
 	// backend advertises the bound it can actually achieve.
 	MaxGridCells = 4096
 	// MaxGridDims is the highest dimensionality the grid backend
-	// accepts; above it cell counts explode and hbe is the right rung.
+	// accepts; above it cell counts explode and micro is the scalable
+	// rung.
 	MaxGridDims = 3
-	// DefaultSeed seeds randomized backends when Options.Seed is 0.
+	// DefaultSeed seeds the micro backend when Options.Seed is 0.
 	DefaultSeed = 1
 )
 
@@ -145,14 +125,6 @@ func (o Options) EffEpsilon() float64 {
 		return DefaultEpsilon
 	}
 	return o.Epsilon
-}
-
-// EffDelta resolves the failure probability with its default.
-func (o Options) EffDelta() float64 {
-	if o.Delta == 0 {
-		return DefaultDelta
-	}
-	return o.Delta
 }
 
 // EffSeed resolves the randomization seed with its default.
@@ -179,9 +151,6 @@ func (o Options) Validate() error {
 	}
 	if o.Epsilon != 0 && !(o.Epsilon > 0 && o.Epsilon < math.Inf(1)) {
 		return fmt.Errorf("evalopt: epsilon %v must be a positive finite value: %w", o.Epsilon, udmerr.ErrBadOption)
-	}
-	if o.Delta != 0 && !(o.Delta > 0 && o.Delta < 1) {
-		return fmt.Errorf("evalopt: delta %v must lie in (0, 1): %w", o.Delta, udmerr.ErrBadOption)
 	}
 	if o.Prune != 0 && (!(o.Prune > 0) || math.IsInf(o.Prune, 0)) {
 		return fmt.Errorf("evalopt: prune tolerance %v must be a finite value in [0, inf): %w", o.Prune, udmerr.ErrBadOption)
@@ -213,9 +182,6 @@ func (o Options) String() string {
 	if o.Epsilon != 0 {
 		add("epsilon", strconv.FormatFloat(o.Epsilon, 'g', -1, 64))
 	}
-	if o.Delta != 0 {
-		add("delta", strconv.FormatFloat(o.Delta, 'g', -1, 64))
-	}
 	if o.Prune != 0 {
 		add("prune", strconv.FormatFloat(o.Prune, 'g', -1, 64))
 	}
@@ -240,18 +206,17 @@ func (o Options) String() string {
 // Parse reads the textual form shared by the udmkde -eval flag and the
 // udmserve wire API: comma-separated key=value pairs with keys
 //
-//	backend   exact | hbe | grid | micro
-//	epsilon   approximate-backend relative-error budget (> 0)
-//	delta     randomized-backend failure probability in (0, 1)
+//	backend   exact | grid | micro
+//	epsilon   grid-backend relative-error budget (> 0)
 //	prune     exact-engine far-field truncation tolerance (≥ 0)
 //	accuracy  exact | approx | approx(ε)  (kernel surrogate mode)
 //	workers   batch fan-out cap (integer; ≤ 0 = all cores)
-//	seed      randomized-backend seed (integer)
+//	seed      micro-backend summarization seed (integer)
 //	cells     grid backend per-dimension resolution (positive integer)
 //	q         micro backend cluster budget (positive integer)
 //
-// A bare backend name ("hbe") is accepted as shorthand for
-// "backend=hbe". Keys may appear in any order; later keys win. The
+// A bare backend name ("grid") is accepted as shorthand for
+// "backend=grid". Keys may appear in any order; later keys win. The
 // empty string parses to the zero Options. Unknown keys, malformed
 // values, and out-of-domain fields return errors wrapping
 // udmerr.ErrBadOption.
@@ -284,8 +249,6 @@ func Parse(s string) (Options, error) {
 			o.Backend, err = ParseBackend(val)
 		case "epsilon", "eps":
 			o.Epsilon, err = parseFloat(key, val)
-		case "delta":
-			o.Delta, err = parseFloat(key, val)
 		case "prune":
 			o.Prune, err = parseFloat(key, val)
 		case "accuracy":
@@ -356,7 +319,7 @@ func parseAccuracy(val string) (kernel.AccuracyMode, error) {
 }
 
 func knownKeys() string {
-	keys := []string{"backend", "epsilon", "delta", "prune", "accuracy", "workers", "seed", "cells", "q"}
+	keys := []string{"backend", "epsilon", "prune", "accuracy", "workers", "seed", "cells", "q"}
 	sort.Strings(keys)
 	return strings.Join(keys, ", ")
 }

@@ -17,10 +17,10 @@ func TestParseBackend(t *testing.T) {
 	}{
 		{"", BackendDefault, true},
 		{"exact", BackendExact, true},
-		{"hbe", BackendHBE, true},
 		{"grid", BackendGrid, true},
 		{"micro", BackendMicro, true},
-		{"  HBE ", BackendHBE, true}, // case/space insensitive wire form
+		{"  GRID ", BackendGrid, true}, // case/space insensitive wire form
+		{"hbe", BackendDefault, false}, // the removed hashing-based rung
 		{"forest", BackendDefault, false},
 		{"exactish", BackendDefault, false},
 	}
@@ -45,22 +45,22 @@ func TestParseGrammar(t *testing.T) {
 		want Options
 	}{
 		{"", Options{}},
-		{"backend=hbe", Options{Backend: BackendHBE}},
-		{"hbe", Options{Backend: BackendHBE}}, // bare-name shorthand
+		{"backend=micro", Options{Backend: BackendMicro}},
+		{"grid", Options{Backend: BackendGrid}}, // bare-name shorthand
 		{"backend=grid,cells=64", Options{Backend: BackendGrid, GridCells: 64}},
 		{"backend=micro,q=200,seed=7", Options{Backend: BackendMicro, MicroClusters: 200, Seed: 7}},
 		{
-			"backend=hbe,epsilon=0.05,delta=0.01,workers=4",
-			Options{Backend: BackendHBE, Epsilon: 0.05, Delta: 0.01, Workers: 4},
+			"backend=grid,epsilon=0.05,workers=4",
+			Options{Backend: BackendGrid, Epsilon: 0.05, Workers: 4},
 		},
 		{"eps=0.2", Options{Epsilon: 0.2}}, // eps alias
 		{"prune=1e-3", Options{Prune: 1e-3}},
 		{"accuracy=exact", Options{}},
 		{"accuracy=approx", Options{Accuracy: kernel.Approx(kernel.DefaultApproxEps)}},
 		{"accuracy=approx(1e-6)", Options{Accuracy: kernel.Approx(1e-6)}},
-		{" backend = hbe , epsilon = 0.1 ", Options{Backend: BackendHBE, Epsilon: 0.1}},
-		{"backend=grid,backend=hbe", Options{Backend: BackendHBE}}, // later key wins
-		{"workers=-1", Options{Workers: -1}},                       // ≤0 = all cores, legal
+		{" backend = grid , epsilon = 0.1 ", Options{Backend: BackendGrid, Epsilon: 0.1}},
+		{"backend=grid,backend=micro", Options{Backend: BackendMicro}}, // later key wins
+		{"workers=-1", Options{Workers: -1}},                           // ≤0 = all cores, legal
 	}
 	for _, c := range cases {
 		got, err := Parse(c.in)
@@ -76,24 +76,27 @@ func TestParseGrammar(t *testing.T) {
 
 func TestParseRejects(t *testing.T) {
 	bad := []string{
-		"backend=forest",        // unknown backend
-		"turbo=1",               // unknown key
-		"epsilon=fast",          // malformed float
-		"epsilon=-0.1",          // out of domain
-		"delta=1.5",             // out of domain
-		"delta=x",               // malformed
-		"prune=-1",              // out of domain
-		"accuracy=approx(",      // malformed accuracy
-		"accuracy=approx(-1)",   // invalid budget
-		"accuracy=sloppy",       // unknown mode
-		"workers=three",         // malformed int
-		"seed=1.5",              // malformed int64
-		"cells=-2",              // out of domain
-		"cells=1000000",         // above cap
-		"q=-3",                  // out of domain
-		"backend",               // bare token that is not a backend... actually "backend" is not a valid backend name
-		"epsilon",               // bare token, not a backend
-		"backend=hbe,epsilon=x", // error in later field still surfaces
+		"backend=forest",         // unknown backend
+		"turbo=1",                // unknown key
+		"epsilon=fast",           // malformed float
+		"epsilon=-0.1",           // out of domain
+		"delta=1.5",              // unknown key
+		"delta=x",                // unknown key
+		"prune=-1",               // out of domain
+		"accuracy=approx(",       // malformed accuracy
+		"accuracy=approx(-1)",    // invalid budget
+		"accuracy=sloppy",        // unknown mode
+		"workers=three",          // malformed int
+		"seed=1.5",               // malformed int64
+		"cells=-2",               // out of domain
+		"cells=1000000",          // above cap
+		"q=-3",                   // out of domain
+		"backend",                // bare token that is not a backend... actually "backend" is not a valid backend name
+		"epsilon",                // bare token, not a backend
+		"backend=grid,epsilon=x", // error in later field still surfaces
+		"hbe",                    // the removed rung's bare name
+		"backend=hbe",            // ...and its key=value form
+		"delta=0.01",             // the removed rung's failure probability
 	}
 	for _, s := range bad {
 		if _, err := Parse(s); err == nil {
@@ -107,8 +110,8 @@ func TestParseRejects(t *testing.T) {
 func TestStringRoundTrip(t *testing.T) {
 	cases := []Options{
 		{},
-		{Backend: BackendHBE},
-		{Backend: BackendHBE, Epsilon: 0.05, Delta: 0.01},
+		{Backend: BackendMicro},
+		{Backend: BackendGrid, Epsilon: 0.05},
 		{Backend: BackendGrid, GridCells: 64, Workers: 8},
 		{Backend: BackendMicro, MicroClusters: 140, Seed: 42},
 		{Prune: 1e-3, Accuracy: kernel.Approx(1e-6)},
@@ -132,11 +135,11 @@ func TestStringRoundTrip(t *testing.T) {
 func TestStringCanonical(t *testing.T) {
 	// Equal configurations must render equal strings regardless of the
 	// order keys were supplied in — String is used in cache keys.
-	a, err := Parse("epsilon=0.05,backend=hbe")
+	a, err := Parse("epsilon=0.05,backend=grid")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Parse("backend=hbe,epsilon=0.05")
+	b, err := Parse("backend=grid,epsilon=0.05")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +152,7 @@ func TestValidate(t *testing.T) {
 	good := []Options{
 		{},
 		{Backend: BackendExact},
-		{Backend: BackendHBE, Epsilon: 0.1, Delta: 0.01},
+		{Backend: BackendGrid, Epsilon: 0.1},
 		{Prune: 0.5, Workers: -3},
 	}
 	for _, o := range good {
@@ -162,8 +165,6 @@ func TestValidate(t *testing.T) {
 		{Epsilon: -1},
 		{Epsilon: math.NaN()},
 		{Epsilon: math.Inf(1)},
-		{Delta: 2},
-		{Delta: -0.1},
 		{Prune: math.Inf(1)},
 		{Prune: -0.5},
 		{Accuracy: kernel.Approx(math.NaN())},
@@ -185,34 +186,14 @@ func TestEffDefaults(t *testing.T) {
 	if got := o.EffEpsilon(); got != DefaultEpsilon {
 		t.Errorf("EffEpsilon zero = %v, want %v", got, DefaultEpsilon)
 	}
-	if got := o.EffDelta(); got != DefaultDelta {
-		t.Errorf("EffDelta zero = %v, want %v", got, DefaultDelta)
-	}
 	if got := o.EffSeed(); got != DefaultSeed {
 		t.Errorf("EffSeed zero = %v, want %v", got, DefaultSeed)
 	}
 	if got := o.EffMicroClusters(); got != DefaultMicroClusters {
 		t.Errorf("EffMicroClusters zero = %v, want %v", got, DefaultMicroClusters)
 	}
-	o = Options{Epsilon: 0.2, Delta: 0.05, Seed: 9, MicroClusters: 50}
-	if o.EffEpsilon() != 0.2 || o.EffDelta() != 0.05 || o.EffSeed() != 9 || o.EffMicroClusters() != 50 {
+	o = Options{Epsilon: 0.2, Seed: 9, MicroClusters: 50}
+	if o.EffEpsilon() != 0.2 || o.EffSeed() != 9 || o.EffMicroClusters() != 50 {
 		t.Errorf("Eff* ignores explicit values: %+v", o)
-	}
-}
-
-func TestBackendsLadder(t *testing.T) {
-	ladder := Backends()
-	if len(ladder) != 4 || ladder[0] != BackendExact {
-		t.Fatalf("Backends() = %v", ladder)
-	}
-	seen := map[Backend]bool{}
-	for _, b := range ladder {
-		if seen[b] {
-			t.Fatalf("duplicate backend %q in ladder", b)
-		}
-		seen[b] = true
-		if _, err := ParseBackend(string(b)); err != nil {
-			t.Errorf("ladder entry %q does not parse: %v", b, err)
-		}
 	}
 }

@@ -31,10 +31,9 @@ type BatchOptions struct {
 	// fields apply: Workers (see above) and Accuracy, which evaluates
 	// this package's estimator types under a cheap accuracy-switched
 	// view (WithAccuracy) for the duration of the call. The remaining
-	// fields — Backend, Epsilon, Delta, Prune, and the sizing knobs —
-	// take effect where estimators are constructed (Options.Eval,
-	// internal/density); a Batcher passed here likewise carries its
-	// backend and accuracy from construction.
+	// fields — Backend, Epsilon, Prune, and the sizing knobs — take
+	// effect where estimators are constructed (Options.Eval,
+	// internal/density).
 	Eval evalopt.Options
 }
 
@@ -54,21 +53,6 @@ func (o BatchOptions) workers() int {
 	return o.Workers
 }
 
-// Batcher is the delegation hook for pluggable density backends: an
-// Estimator that evaluates whole batches itself (e.g. by importance
-// sampling) rather than through this package's per-row engines. The
-// batch entry points hand the rows straight to the implementation, so
-// an approximate backend's cost model applies to grid renders, the
-// serving layer, and every other caller of the canonical API.
-//
-// This package's own estimator types do not satisfy Batcher (they have
-// no DensityBatch method; DensityBatchOpts runs them on this package's
-// engines); the implementations live in internal/density.
-type Batcher interface {
-	Estimator
-	DensityBatch(ctx context.Context, X [][]float64, dims []int, workers int) ([]float64, error)
-}
-
 // DensityBatchOpts evaluates est at every row of X over the dimension
 // subset dims (nil means all dimensions) under opt. It is the one
 // batch entry point for plain (certain) queries.
@@ -77,31 +61,26 @@ type Batcher interface {
 // engine — in the default exact configuration, bit-identical to the
 // per-query DensitySub path; with Options.Prune or a non-exact
 // accuracy (from Options or opt.Eval.Accuracy), within the configured
-// relative budget. A Batcher (pluggable density backend) evaluates the
-// batch itself under its own advertised contract. Other estimators
-// take the scalar fallback. Every result is written to its own slot,
-// so output is bit-for-bit identical for every worker count.
+// relative budget. Every rung internal/density builds is one of these
+// types. Other estimators take the scalar fallback. Every result is
+// written to its own slot, so output is bit-for-bit identical for
+// every worker count.
 //
 // Malformed rows or dims surface as errors wrapping
 // udmerr.ErrDimensionMismatch, not panics.
 func DensityBatchOpts(est Estimator, X [][]float64, dims []int, opt BatchOptions) ([]float64, error) {
-	ctx, workers := opt.ctx(), opt.workers()
-	if b, ok := est.(Batcher); ok {
-		return b.DensityBatch(ctx, X, dims, workers)
-	}
 	est, err := applyEval(est, opt.Eval)
 	if err != nil {
 		return nil, err
 	}
-	return densityBatch(ctx, est, X, dims, workers)
+	return densityBatch(opt.ctx(), est, X, dims, opt.workers())
 }
 
 // DensityQBatchOpts is the uncertain-query variant of DensityBatchOpts:
 // row i is evaluated with per-dimension query errors Qerr[i] folded
 // into every kernel. Qerr may be nil (all queries certain, reducing to
 // DensityBatchOpts) and individual Qerr rows may be nil (that query is
-// certain). Batcher delegation does not apply — uncertain queries
-// always evaluate through this package's engines.
+// certain).
 func DensityQBatchOpts(est QEstimator, X, Qerr [][]float64, dims []int, opt BatchOptions) ([]float64, error) {
 	if p, ok := est.(*PointKDE); ok && Qerr != nil && p.opt.Kernel != kernel.Gaussian {
 		return nil, fmt.Errorf("kde: DensityQBatchOpts requires the Gaussian kernel, got %v: %w", p.opt.Kernel, udmerr.ErrBadOption)
@@ -127,8 +106,7 @@ func (k *PointKDE) LeaveOneOutBatchOpts(dims []int, opt BatchOptions) ([]float64
 // applyEval returns est under opt's accuracy mode: a cheap
 // accuracy-switched view for this package's estimator types, est
 // unchanged when the mode is exact. Estimators from other packages
-// (including Batchers, which are delegated before this applies) carry
-// their accuracy from construction.
+// carry their accuracy from construction.
 func applyEval(est Estimator, opt evalopt.Options) (Estimator, error) {
 	if opt.Accuracy.IsExact() {
 		return est, nil

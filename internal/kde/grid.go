@@ -1,36 +1,16 @@
 package kde
 
-import (
-	"context"
-	"fmt"
-)
+import "fmt"
 
-// Grid1D evaluates the joint density of a single dimension j on an evenly
-// spaced grid of n+1 points spanning [lo, hi]. The returned xs are the
-// grid coordinates and ys the densities. The query vector's other
-// coordinates are irrelevant because the subspace {j} ignores them.
-// It is Grid1DOpts under default options.
-func Grid1D(e Estimator, j int, lo, hi float64, n int) (xs, ys []float64) {
-	xs, ys, err := Grid1DOpts(e, j, lo, hi, n, BatchOptions{Workers: 1})
-	if err != nil {
-		panic(fmt.Sprintf("kde: grid evaluation: %v", err)) // unreachable: the background context never cancels and default options are valid
-	}
-	return xs, ys
-}
-
-// Grid1DContext is Grid1D with cancellation. It is Grid1DOpts with the
-// context as the only non-default option.
-func Grid1DContext(ctx context.Context, e Estimator, j int, lo, hi float64, n int) (xs, ys []float64, err error) {
-	return Grid1DOpts(e, j, lo, hi, n, BatchOptions{Ctx: ctx, Workers: 1})
-}
-
-// Grid1DOpts evaluates the 1-D grid under explicit BatchOptions.
-// Evaluation goes through DensityBatchOpts, so the whole unified
+// Grid1DOpts evaluates the joint density of a single dimension j on an
+// evenly spaced grid of n+1 points spanning [lo, hi]. The returned xs
+// are the grid coordinates and ys the densities. The query vector's
+// other coordinates are irrelevant because the subspace {j} ignores
+// them. Evaluation goes through DensityBatchOpts, so the whole unified
 // configuration applies: a Gaussian estimator's SoA engine with its
-// Prune / Accuracy settings (plus any opt.Eval.Accuracy override), a
-// pluggable density backend's own batch evaluation, and opt's context
-// and worker fan-out. In the default exact configuration the values
-// are bit-identical to per-point DensitySub calls.
+// Prune / Accuracy settings (plus any opt.Eval.Accuracy override) and
+// opt's context and worker fan-out. In the default exact configuration
+// the values are bit-identical to per-point DensitySub calls.
 func Grid1DOpts(e Estimator, j int, lo, hi float64, n int, opt BatchOptions) (xs, ys []float64, err error) {
 	if n < 1 {
 		panic(fmt.Sprintf("kde: grid with n=%d steps", n))
@@ -60,7 +40,10 @@ func Grid1DOpts(e Estimator, j int, lo, hi float64, n int, opt BatchOptions) (xs
 // estimator and a range covering the data plus kernel tails, the result
 // approaches 1; it is the standard sanity diagnostic for an estimate.
 func Mass1D(e Estimator, j int, lo, hi float64, n int) float64 {
-	xs, ys := Grid1D(e, j, lo, hi, n)
+	xs, ys, err := Grid1DOpts(e, j, lo, hi, n, BatchOptions{Workers: 1})
+	if err != nil {
+		panic(fmt.Sprintf("kde: grid evaluation: %v", err)) // unreachable: the background context never cancels and default options are valid
+	}
 	var s float64
 	for i := 1; i < len(xs); i++ {
 		s += 0.5 * (ys[i] + ys[i-1]) * (xs[i] - xs[i-1])
@@ -68,27 +51,11 @@ func Mass1D(e Estimator, j int, lo, hi float64, n int) float64 {
 	return s
 }
 
-// Grid2D evaluates the joint density of dimensions (jx, jy) on an
-// (nx+1)×(ny+1) grid. The result is indexed [iy][ix]. It is
-// Grid2DOpts under default options.
-func Grid2D(e Estimator, jx, jy int, loX, hiX, loY, hiY float64, nx, ny int) [][]float64 {
-	out, err := Grid2DOpts(e, jx, jy, loX, hiX, loY, hiY, nx, ny, BatchOptions{Workers: 1})
-	if err != nil {
-		panic(fmt.Sprintf("kde: grid evaluation: %v", err)) // unreachable: the background context never cancels and default options are valid
-	}
-	return out
-}
-
-// Grid2DContext is Grid2D with cancellation. It is Grid2DOpts with the
-// context as the only non-default option.
-func Grid2DContext(ctx context.Context, e Estimator, jx, jy int, loX, hiX, loY, hiY float64, nx, ny int) ([][]float64, error) {
-	return Grid2DOpts(e, jx, jy, loX, hiX, loY, hiY, nx, ny, BatchOptions{Ctx: ctx, Workers: 1})
-}
-
-// Grid2DOpts evaluates the 2-D grid under explicit BatchOptions. Like
-// Grid1DOpts, the evaluation runs through DensityBatchOpts and so
-// honors the estimator's full evaluation configuration — including a
-// pluggable backend's own batch path — plus opt's context and workers.
+// Grid2DOpts evaluates the joint density of dimensions (jx, jy) on an
+// (nx+1)×(ny+1) grid. The result is indexed [iy][ix]. Like Grid1DOpts,
+// the evaluation runs through DensityBatchOpts and so honors the
+// estimator's full evaluation configuration plus opt's context and
+// workers.
 func Grid2DOpts(e Estimator, jx, jy int, loX, hiX, loY, hiY float64, nx, ny int, opt BatchOptions) ([][]float64, error) {
 	if nx < 1 || ny < 1 {
 		panic(fmt.Sprintf("kde: grid with nx=%d, ny=%d", nx, ny))

@@ -23,7 +23,10 @@ func onePointKDE(t *testing.T) *PointKDE {
 
 func TestGrid1DShapeAndValues(t *testing.T) {
 	k := onePointKDE(t)
-	xs, ys := Grid1D(k, 0, -2, 2, 4)
+	xs, ys, err := Grid1DOpts(k, 0, -2, 2, 4, BatchOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(xs) != 5 || len(ys) != 5 {
 		t.Fatalf("grid lengths %d/%d", len(xs), len(ys))
 	}
@@ -45,7 +48,10 @@ func TestMass1DNearOne(t *testing.T) {
 
 func TestGrid2D(t *testing.T) {
 	k := onePointKDE(t)
-	g := Grid2D(k, 0, 1, -1, 1, -1, 1, 2, 2)
+	g, err := Grid2DOpts(k, 0, 1, -1, 1, -1, 1, 2, 2, BatchOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(g) != 3 || len(g[0]) != 3 {
 		t.Fatalf("grid shape %dx%d", len(g), len(g[0]))
 	}
@@ -68,10 +74,10 @@ func TestGrid2D(t *testing.T) {
 func TestGridPanics(t *testing.T) {
 	k := onePointKDE(t)
 	for name, fn := range map[string]func(){
-		"n<1":      func() { Grid1D(k, 0, 0, 1, 0) },
-		"hi<=lo":   func() { Grid1D(k, 0, 1, 1, 10) },
-		"2d range": func() { Grid2D(k, 0, 1, 0, 0, 0, 1, 2, 2) },
-		"2d steps": func() { Grid2D(k, 0, 1, 0, 1, 0, 1, 0, 2) },
+		"n<1":      func() { _, _, _ = Grid1DOpts(k, 0, 0, 1, 0, BatchOptions{}) },
+		"hi<=lo":   func() { _, _, _ = Grid1DOpts(k, 0, 1, 1, 10, BatchOptions{}) },
+		"2d range": func() { _, _ = Grid2DOpts(k, 0, 1, 0, 0, 0, 1, 2, 2, BatchOptions{}) },
+		"2d steps": func() { _, _ = Grid2DOpts(k, 0, 1, 0, 1, 0, 1, 0, 2, BatchOptions{}) },
 	} {
 		func() {
 			defer func() {

@@ -73,7 +73,7 @@ type Options struct {
 	// from the shared CLI/wire grammar). At construction its Prune and
 	// Accuracy fields, when set, take precedence over the legacy
 	// stand-alone fields above. Backend and the approximate-backend
-	// knobs (Epsilon, Delta, sizing) are consumed one layer up by
+	// knobs (Epsilon, sizing) are consumed one layer up by
 	// internal/density — this package always builds the exact engine.
 	Eval evalopt.Options
 }

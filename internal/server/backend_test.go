@@ -66,16 +66,14 @@ func TestDensityBackendSelection(t *testing.T) {
 	}
 
 	// The micro backend over a summarizer-backed model evaluates the
-	// same summary exactly; grid and hbe must stay within their
-	// advertised relative-error ladders (hbe falls back to exact below
-	// its sampling floor, so the default ε = 0.1 bounds both regimes).
+	// same summary exactly; grid must stay within its advertised
+	// relative-error bound (the default ε = 0.1).
 	for _, tc := range []struct {
 		backend string
 		relTol  float64
 	}{
 		{"micro", 0},
 		{"grid", 0.11},
-		{"hbe", 0.11},
 	} {
 		resp, out := postDensity(t, url, map[string]any{"point": x, "backend": tc.backend}, nil)
 		if resp.StatusCode != 200 {
@@ -123,8 +121,8 @@ func TestDensityBackendSelection(t *testing.T) {
 	}
 }
 
-// TestDensityBackendErrors pins the failure modes: unknown names and
-// incompatible backend/accuracy combinations are 400 bad_option.
+// TestDensityBackendErrors pins the failure modes: unknown names,
+// including the removed hbe rung, are 400 bad_option.
 func TestDensityBackendErrors(t *testing.T) {
 	s := testServer(t, Options{}, "")
 	ts := httptest.NewServer(s.Handler())
@@ -133,8 +131,8 @@ func TestDensityBackendErrors(t *testing.T) {
 	x := []float64{-1.5, 0.5}
 
 	for name, body := range map[string]map[string]any{
-		"unknown backend":    {"point": x, "backend": "fast"},
-		"hbe rejects approx": {"point": x, "backend": "hbe", "accuracy": "approx", "epsilon": 1e-6},
+		"unknown backend": {"point": x, "backend": "fast"},
+		"removed hbe":     {"point": x, "backend": "hbe"},
 	} {
 		status, code := errCode(t, url, body)
 		if status != 400 || code != "bad_option" {

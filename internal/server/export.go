@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"net/http"
 
 	"udm/internal/obs"
 
@@ -68,9 +67,6 @@ func SentinelFor(code string) error {
 	}
 	return nil
 }
-
-// WriteJSON writes v as a JSON response with the given status.
-func WriteJSON(w http.ResponseWriter, status int, v any) { writeJSON(w, status, v) }
 
 // Guard bundles one target's resilience stack — the shared
 // decorrelated-jitter retrier and a circuit breaker — for callers

@@ -114,7 +114,7 @@ func NewFront(tier string, opt Options, snapshot func() map[string]any) *Front {
 	// stops it: Serve on a shut-down http.Server returns at once.
 	f.srv = &http.Server{Handler: f.mux, ReadHeaderTimeout: 10 * time.Second}
 	f.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		f.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	f.mux.HandleFunc("GET /readyz", f.handleReadyz)
 	f.mux.HandleFunc("GET /metrics", f.handleMetrics)
@@ -305,7 +305,31 @@ func (f *Front) Error(w http.ResponseWriter, status int, code, msg string) {
 	case StatusClientClosedRequest:
 		f.metrics.Canceled.Inc()
 	}
-	writeJSON(w, status, errorBody{Error: errorDetail{Code: code, Message: msg}})
+	_ = writeJSON(w, status, errorBody{Error: errorDetail{Code: code, Message: msg}}) // two strings always marshal
+}
+
+// WriteJSON answers v under status. v is marshalled before anything is
+// written, so a body JSON cannot carry (a NaN or ±Inf density) answers
+// 500 internal in the error envelope, counted like any other error,
+// and never an empty 200.
+func (f *Front) WriteJSON(w http.ResponseWriter, status int, v any) {
+	if err := writeJSON(w, status, v); err != nil {
+		f.Error(w, http.StatusInternalServerError, "internal", fmt.Sprintf("%s: encoding response: %v", f.tier, err))
+	}
+}
+
+// writeJSON marshals v and, only once that has succeeded, writes it
+// newline-terminated under status. On a marshal error nothing has been
+// written, so the caller can still answer with an error.
+func writeJSON(w http.ResponseWriter, status int, v any) error {
+	body, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(append(body, '\n')) // a failed write means the client went away
+	return nil
 }
 
 // Fail maps err to its status and stable code through the module's
@@ -335,11 +359,11 @@ func (f *Front) Decode(w http.ResponseWriter, r *http.Request, v any) bool {
 func (f *Front) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if !f.ready.Load() {
 		// Draining is not an error of the request: left uncounted.
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: errorDetail{
+		f.WriteJSON(w, http.StatusServiceUnavailable, errorBody{Error: errorDetail{
 			Code: "draining", Message: f.tier + " is shutting down"}})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	f.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
 // handleMetrics serves the tier's JSON document by default, and with
@@ -356,5 +380,5 @@ func (f *Front) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		_ = obs.Default().WritePrometheus(w)
 		return
 	}
-	writeJSON(w, http.StatusOK, f.snapshot())
+	f.WriteJSON(w, http.StatusOK, f.snapshot())
 }

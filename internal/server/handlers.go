@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -53,12 +52,6 @@ func statusFor(err error) (int, string) {
 	default:
 		return http.StatusInternalServerError, "internal"
 	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
 }
 
 // evalRetry runs one direct (non-coalesced) model evaluation under the
@@ -121,12 +114,12 @@ func points(m *Model, point []float64, rows [][]float64) ([][]float64, bool, err
 
 // handleTraces dumps the tracer's recent-traces ring (newest last).
 func (s *Server) handleTraces(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"traces": s.Tracer().Recent()})
+	s.front.WriteJSON(w, http.StatusOK, map[string]any{"traces": s.Tracer().Recent()})
 }
 
 // handleSlow dumps spans that exceeded the slow-request threshold.
 func (s *Server) handleSlow(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	s.front.WriteJSON(w, http.StatusOK, map[string]any{
 		"threshold_ns": s.opt.SlowRequest.Nanoseconds(),
 		"slow":         s.Tracer().Slow(),
 	})
@@ -160,7 +153,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, info)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"models": out})
+	s.front.WriteJSON(w, http.StatusOK, map[string]any{"models": out})
 }
 
 // --- /v1/models/{model}/classify ---
@@ -219,7 +212,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if single {
 		resp.Label = &labels[0]
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.front.WriteJSON(w, http.StatusOK, resp)
 }
 
 // --- /v1/models/{model}/density ---
@@ -234,8 +227,8 @@ type densityRequest struct {
 	Accuracy string  `json:"accuracy,omitempty"`
 	Epsilon  float64 `json:"epsilon,omitempty"`
 	// Backend selects the density backend: "" or "exact" (default) for
-	// the bit-exact engine, or "hbe", "grid", "micro" for the bounded-
-	// error approximate rungs. The X-UDM-Backend request header is the
+	// the bit-exact engine, or "micro" or "grid" for the other rungs of
+	// the ladder. The X-UDM-Backend request header is the
 	// fallback when this field is empty; the JSON field wins when both
 	// are set.
 	Backend string `json:"backend,omitempty"`
@@ -310,7 +303,7 @@ func (s *Server) handleDensity(w http.ResponseWriter, r *http.Request) {
 		if degraded {
 			w.Header().Set("X-UDM-Degraded", "stale")
 		}
-		writeJSON(w, http.StatusOK, densityResponse{Densities: []float64{d}, Density: &d, Cached: cached, Degraded: degraded})
+		s.front.WriteJSON(w, http.StatusOK, densityResponse{Densities: []float64{d}, Density: &d, Cached: cached, Degraded: degraded})
 		return
 	}
 	ds, err := evalRetry(r.Context(), s, s.breakerFor(sm.tenant, m.Name()), func(ctx context.Context) ([]float64, error) {
@@ -324,7 +317,7 @@ func (s *Server) handleDensity(w http.ResponseWriter, r *http.Request) {
 		s.front.Fail(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, densityResponse{Densities: ds})
+	s.front.WriteJSON(w, http.StatusOK, densityResponse{Densities: ds})
 }
 
 // staleVersion is the sentinel model version keying the stale cache.
@@ -463,7 +456,7 @@ func (s *Server) handleOutliers(w http.ResponseWriter, r *http.Request) {
 	for i, v := range res.Scores {
 		scores[i] = finite(v)
 	}
-	writeJSON(w, http.StatusOK, outliersResponse{
+	s.front.WriteJSON(w, http.StatusOK, outliersResponse{
 		Scores:    scores,
 		Outliers:  res.Outlier,
 		Threshold: finite(res.Threshold),
@@ -551,7 +544,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		dedupKey = sm.tenant + "\x00" + m.Name() + "\x00" + key
 		if resp, dup := s.ingestSeen.get(dedupKey); dup {
 			s.metrics.IngestDeduped.Add(1)
-			writeJSON(w, http.StatusOK, resp)
+			s.front.WriteJSON(w, http.StatusOK, resp)
 			return
 		}
 	}
@@ -572,5 +565,5 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if dedupKey != "" {
 		s.ingestSeen.put(dedupKey, resp)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.front.WriteJSON(w, http.StatusOK, resp)
 }

@@ -61,11 +61,11 @@ type Model struct {
 	sum        *microcluster.Summarizer
 	estVersion uint64 // engine row count the estimator was built at
 
-	// backends lazily caches non-default density backends over the
-	// current summary, one per rung; rebuilt wholesale whenever
-	// ingestion advances the model version.
-	backends        map[evalopt.Backend]density.Backend
-	backendsVersion uint64
+	// grid lazily caches the grid rung over the current summary,
+	// rebuilt whenever ingestion advances the model version. The
+	// exact and micro rungs are est itself.
+	grid        *kde.ClusterKDE
+	gridVersion uint64
 
 	// partial caches the shard-side estimator of the distributed
 	// density protocol: the current summary under coordinator-supplied
@@ -205,15 +205,15 @@ func (m *Model) estimatorAt(acc kernel.AccuracyMode) (*kde.ClusterKDE, error) {
 	return est, nil
 }
 
-// backendAt returns an estimator for the requested density backend and
-// accuracy mode. The default (and explicit exact) backend takes the
-// exact same path as before backends existed — the shared ClusterKDE,
-// bit-identical answers — while the approximate rungs are built lazily
-// over the current summary and cached per backend until ingestion
-// advances the model. The accuracy switch is applied last, as a cheap
-// per-request view.
-func (m *Model) backendAt(bk evalopt.Backend, acc kernel.AccuracyMode) (kde.Estimator, error) {
-	if bk == evalopt.BackendDefault || bk == evalopt.BackendExact {
+// backendAt returns an estimator for the requested (already parsed)
+// density backend and accuracy mode. Over a summary the exact and micro
+// rungs are one estimator, so the default, exact and micro backends all
+// take the shared ClusterKDE — bit-identical answers — while the grid
+// rung is built lazily over the current summary and cached until
+// ingestion advances the model. The accuracy switch is applied last,
+// as a cheap per-request view.
+func (m *Model) backendAt(bk evalopt.Backend, acc kernel.AccuracyMode) (*kde.ClusterKDE, error) {
+	if bk != evalopt.BackendGrid {
 		return m.estimatorAt(acc)
 	}
 	// Refresh the summary (and version) first; stream models rebuild it
@@ -223,30 +223,26 @@ func (m *Model) backendAt(bk evalopt.Backend, acc kernel.AccuracyMode) (kde.Esti
 		return nil, err
 	}
 	m.mu.Lock()
-	if m.backends == nil || m.backendsVersion != v {
-		m.backends = make(map[evalopt.Backend]density.Backend)
-		m.backendsVersion = v
-	}
-	b, ok := m.backends[bk]
-	if !ok {
+	if m.grid == nil || m.gridVersion != v {
 		opt := m.kdeOpt
-		opt.Eval.Backend = bk
-		b, err = density.FromSummarizer(m.sum, opt)
+		opt.Eval.Backend = evalopt.BackendGrid
+		grid, _, err := density.FromSummarizer(m.sum, opt)
 		if err != nil {
 			m.mu.Unlock()
 			return nil, fmt.Errorf("server: model %q: %w", m.name, err)
 		}
-		m.backends[bk] = b
+		m.grid, m.gridVersion = grid, v
 	}
+	grid := m.grid
 	m.mu.Unlock()
 	if acc.IsExact() {
-		return b, nil
+		return grid, nil
 	}
-	bv, err := b.WithAccuracy(acc)
+	grid, err = grid.WithAccuracy(acc)
 	if err != nil {
 		return nil, fmt.Errorf("server: model %q: %w", m.name, err)
 	}
-	return bv, nil
+	return grid, nil
 }
 
 // SummarySnapshot returns the model's current micro-cluster summary

@@ -659,3 +659,38 @@ func TestConcurrentClassifyAndIngest(t *testing.T) {
 		t.Errorf("request counter = %d, want %d", got, workers*15)
 	}
 }
+
+// TestUnencodableDensityAnswers500: one huge ingested value overflows a
+// stream model's Definition-1 sums, so its densities come out NaN,
+// which JSON cannot carry. Both density paths (single-point through
+// the coalescer, and batch) must answer 500 internal in the error
+// envelope and count the error, never a 200 with an empty body.
+// Refusing such an ingest outright is a separate fix; this pins the
+// encoder's behavior once a NaN reaches it.
+func TestUnencodableDensityAnswers500(t *testing.T) {
+	s := testServer(t, Options{}, "")
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if status := postJSON(t, ts.URL+"/v1/models/live/ingest",
+		map[string]any{"points": [][]float64{{1e200, 1e200}}}, nil); status != 200 {
+		t.Fatalf("poisoning ingest = %d, want 200", status)
+	}
+	url := ts.URL + "/v1/models/live/density"
+	for _, tc := range []struct {
+		name string
+		body map[string]any
+	}{
+		{"single", map[string]any{"point": []float64{0.5, 0.5}}},
+		{"batch", map[string]any{"points": [][]float64{{0.5, 0.5}, {-1, 2}}}},
+	} {
+		before := s.metrics.Errors.Load()
+		var e errorBody
+		status := postJSON(t, url, tc.body, &e)
+		if status != http.StatusInternalServerError || e.Error.Code != "internal" || e.Error.Message == "" {
+			t.Errorf("%s: got %d %+v, want 500 with an internal error envelope", tc.name, status, e)
+		}
+		if got := s.metrics.Errors.Load(); got != before+1 {
+			t.Errorf("%s: errors counter moved %d → %d, want one more", tc.name, before, got)
+		}
+	}
+}

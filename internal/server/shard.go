@@ -145,7 +145,7 @@ func (s *Server) handleTail(w http.ResponseWriter, r *http.Request) {
 	for i, rec := range recs {
 		resp.Records[i] = tailRecord{X: rec.X, Err: rec.Err, TS: rec.TS, Seq: rec.Seq}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.front.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handlePartial evaluates the per-cluster density terms of every
@@ -193,7 +193,7 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set(VersionHeader, strconv.FormatUint(res.v, 10))
-	writeJSON(w, http.StatusOK, partialResponse{
+	s.front.WriteJSON(w, http.StatusOK, partialResponse{
 		Terms:   res.terms,
 		Weight:  res.weight,
 		Version: res.v,

@@ -147,7 +147,7 @@ func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.SwapStaged.Inc()
-	writeJSON(w, http.StatusOK, stageResponse{Model: name, Kind: m.Kind(), Dims: m.Dims(), Points: m.Points(), Staged: true})
+	s.front.WriteJSON(w, http.StatusOK, stageResponse{Model: name, Kind: m.Kind(), Dims: m.Dims(), Points: m.Points(), Staged: true})
 }
 
 // handlePromote publishes the staged version atomically and retires
@@ -184,5 +184,5 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request,
 	}
 	counter.Inc()
 	w.Header().Set(ModelVersionHeader, strconv.FormatUint(now.gen, 10))
-	writeJSON(w, http.StatusOK, swapResponse{Model: name, Gen: now.gen})
+	s.front.WriteJSON(w, http.StatusOK, swapResponse{Model: name, Gen: now.gen})
 }

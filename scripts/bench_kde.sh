@@ -8,8 +8,8 @@
 # the BENCH_kde.json trajectory array at the repository root.
 #
 # It also runs BenchmarkBackendDensityBatch in internal/density — the
-# exact/micro/grid/hbe backend ladder over one data set and query batch
-# — and records the per-backend series (backend_*_ns) in the same
+# exact/micro/grid backend ladder over one data set and query batch —
+# and records the per-backend series (backend_*_ns) in the same
 # entry. The backend series are informational trajectory data: the two
 # gates below apply only to the exact/pruned pair, so adding a backend
 # can never fail CI on its own.
@@ -74,7 +74,6 @@ batch_ns="$(best_ns_per_op "$TMP/bench.txt" '^BenchmarkDensityBatch/workers=1')"
 backend_exact_ns="$(best_ns_per_op "$TMP/backend.txt" '^BenchmarkBackendDensityBatch/backend=exact')"
 backend_micro_ns="$(best_ns_per_op "$TMP/backend.txt" '^BenchmarkBackendDensityBatch/backend=micro')"
 backend_grid_ns="$(best_ns_per_op "$TMP/backend.txt" '^BenchmarkBackendDensityBatch/backend=grid')"
-backend_hbe_ns="$(best_ns_per_op "$TMP/backend.txt" '^BenchmarkBackendDensityBatch/backend=hbe')"
 decide_ns="$(best_ns_per_op "$TMP/decide.txt" '^BenchmarkDecide/table')"
 decide_ref_ns="$(best_ns_per_op "$TMP/decide.txt" '^BenchmarkDecide/reference')"
 
@@ -100,7 +99,6 @@ entry="$(cat <<EOF
     "backend_exact_ns": $backend_exact_ns,
     "backend_micro_ns": $backend_micro_ns,
     "backend_grid_ns": $backend_grid_ns,
-    "backend_hbe_ns": $backend_hbe_ns,
     "decide_ns": $decide_ns,
     "decide_ref_ns": $decide_ref_ns,
     "speedup_pruned": $speedup_pruned,
@@ -120,7 +118,7 @@ else
 fi
 
 echo "bench-kde: exact ${exact_ns} ns/op, pruned ${pruned_ns} ns/op (${speedup_pruned}x), approx ${approx_ns} ns/op (${speedup_approx}x)"
-echo "bench-kde: backends exact ${backend_exact_ns} / micro ${backend_micro_ns} / grid ${backend_grid_ns} / hbe ${backend_hbe_ns} ns/op"
+echo "bench-kde: backends exact ${backend_exact_ns} / micro ${backend_micro_ns} / grid ${backend_grid_ns} ns/op"
 echo "bench-kde: decide ${decide_ns} ns/op (reference roll-up ${decide_ref_ns} ns/op)"
 echo "bench-kde: appended entry to $OUT"
 

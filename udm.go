@@ -269,15 +269,15 @@ func NewPointDensity(ds *Dataset, opt DensityOptions) (*PointDensity, error) {
 type BatchOptions = kde.BatchOptions
 
 // EvalOptions is the one home for every evaluation knob: backend
-// selection, the approximate backends' ε/δ budgets, far-field pruning,
-// the kernel accuracy mode, worker cap and seed. Set it on
+// selection, the grid backend's ε budget, far-field pruning, the
+// kernel accuracy mode, worker cap and seed. Set it on
 // DensityOptions.Eval to govern construction, or on BatchOptions.Eval
 // to govern one batch call. The zero value means exact evaluation with
 // default behavior everywhere.
 type EvalOptions = evalopt.Options
 
 // ParseEvalOptions parses the shared wire/flag form of EvalOptions —
-// a comma-separated key=value list ("backend=hbe,epsilon=0.05,
+// a comma-separated key=value list ("backend=grid,epsilon=0.05,
 // workers=4"), with a bare backend name accepted as shorthand. It is
 // the grammar the udmkde -eval flag and the serving layer's eval
 // request field speak.
@@ -290,31 +290,27 @@ type DensityBackendKind = evalopt.Backend
 // default (empty) backend is exact.
 const (
 	BackendExact = evalopt.BackendExact
-	BackendHBE   = evalopt.BackendHBE
 	BackendGrid  = evalopt.BackendGrid
 	BackendMicro = evalopt.BackendMicro
 )
-
-// DensityBackend is a pluggable density estimator: a DensityEstimator
-// that evaluates whole batches itself, describes its own accuracy
-// contract, and supports cheap per-request accuracy switching. The
-// batch facade functions delegate to it transparently.
-type DensityBackend = density.Backend
 
 // BackendInfo is a backend's self-description: which rung of the
 // accuracy ladder it is and what accuracy it promises.
 type BackendInfo = density.Info
 
 // NewDensityBackend builds the density backend selected by
-// opt.Eval.Backend over raw rows. The default is exact — bit-identical
-// to NewPointDensity.
-func NewDensityBackend(ds *Dataset, opt DensityOptions) (DensityBackend, error) {
+// opt.Eval.Backend over raw rows, with its self-description. The
+// estimator is a *PointDensity for the default exact backend —
+// bit-identical to NewPointDensity — and a *ClusterDensity for micro
+// and grid.
+func NewDensityBackend(ds *Dataset, opt DensityOptions) (DensityEstimator, BackendInfo, error) {
 	return density.New(ds, opt)
 }
 
 // DensityBackendFromSummarizer builds the selected backend over a
-// micro-cluster summary (the serving layer's native input).
-func DensityBackendFromSummarizer(s *Summarizer, opt DensityOptions) (DensityBackend, error) {
+// micro-cluster summary (the serving layer's native input), with its
+// self-description.
+func DensityBackendFromSummarizer(s *Summarizer, opt DensityOptions) (*ClusterDensity, BackendInfo, error) {
 	return density.FromSummarizer(s, opt)
 }
 
@@ -326,8 +322,7 @@ func DensityBackendFromSummarizer(s *Summarizer, opt DensityOptions) (DensityBac
 // bit-identical to the serial per-query loop; Prune > 0 trades a
 // bounded relative error for far-field truncation, and a non-exact
 // AccuracyMode additionally enables the fast-exponential surrogate.
-// Estimators that are themselves a DensityBackend evaluate the batch
-// under their own contract.
+// Every backend NewDensityBackend builds runs on the same engine.
 func DensityBatchOpts(est DensityEstimator, X [][]float64, dims []int, opt BatchOptions) ([]float64, error) {
 	return kde.DensityBatchOpts(est, X, dims, opt)
 }
