@@ -74,13 +74,9 @@ tools:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-## fuzz-smoke: 10s burn of each fuzz target
+## fuzz-smoke: 10s burn of each fuzz target (listed from the tree)
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzFeatureAdd -fuzztime=10s -run='^Fuzz' ./internal/microcluster
-	$(GO) test -fuzz=FuzzDist2 -fuzztime=10s -run='^Fuzz' ./internal/microcluster
-	$(GO) test -fuzz=FuzzFeatureMerge -fuzztime=10s -run='^Fuzz' ./internal/microcluster
-	$(GO) test -fuzz=FuzzPrometheusExposition -fuzztime=10s -run='^Fuzz' ./internal/obs
-	$(GO) test -fuzz=FuzzParseEvalOptions -fuzztime=10s -run='^Fuzz' ./internal/evalopt
+	bash scripts/fuzz_smoke.sh
 
 ## faults: the failure-path gate — the fault-matrix and resilience suite
 ## under -race, plus a longer -race fuzz burn of the newest targets

@@ -27,7 +27,8 @@
 // /v1/t/{tenant}/... — mirroring udmserve's namespaces, including the
 // X-UDM-Tenant header on legacy paths — and addresses the matching
 // tenant namespace on every shard. Plain names stay in the default
-// tenant and keep their pre-tenancy routing keys bit-for-bit.
+// tenant and keep their pre-tenancy routing keys bit-for-bit, and
+// default/live is the same model as live.
 //
 // Endpoints: GET /healthz /readyz /metrics /v1/models and POST
 // /v1/models/{name}/{classify,density,outliers,ingest}, each also

@@ -94,7 +94,7 @@ type modelFlags []modelSpec
 func (m *modelFlags) String() string {
 	parts := make([]string, len(*m))
 	for i, s := range *m {
-		parts[i] = fmt.Sprintf("%s=%s:%s", qualify(s.tenant, s.name), s.kind, s.path)
+		parts[i] = fmt.Sprintf("%s=%s:%s", server.ModelRef(s.tenant, s.name), s.kind, s.path)
 	}
 	return strings.Join(parts, ",")
 }
@@ -116,26 +116,9 @@ func (m *modelFlags) Set(v string) error {
 	default:
 		return fmt.Errorf("unknown kind %q (want transform, summarizer or stream)", kind)
 	}
-	tenant, bare := splitTenant(name)
+	tenant, bare := server.SplitModelRef(name)
 	*m = append(*m, modelSpec{tenant: tenant, name: bare, kind: kind, path: path})
 	return nil
-}
-
-// splitTenant resolves an optionally-qualified "tenant/name" model
-// reference; plain names belong to the default tenant.
-func splitTenant(ref string) (tenant, name string) {
-	if t, n, ok := strings.Cut(ref, "/"); ok {
-		return t, n
-	}
-	return server.DefaultTenant, ref
-}
-
-// qualify renders a (tenant, name) pair back into its flag form.
-func qualify(tenant, name string) string {
-	if tenant == server.DefaultTenant {
-		return name
-	}
-	return tenant + "/" + name
 }
 
 func main() {
@@ -155,13 +138,11 @@ func main() {
 		timeout      = flag.Duration("timeout", 0, "per-request timeout (0 = default 30s)")
 		maxInflight  = flag.Int("max-inflight", 0, "max concurrently admitted requests before 429 shedding (0 = default 256)")
 		cacheSize    = flag.Int("cache-size", 0, "density cache entries (0 = default 4096; negative disables)")
-		cacheQuantum = flag.Float64("cache-quantum", 0, "density cache coordinate quantum (0 = exact keys)")
 		workers      = flag.Int("workers", 0, "worker pool size for batched evaluation (0 = all cores)")
 		noCheckpoint = flag.Bool("no-checkpoint", false, "do not checkpoint stream models on shutdown")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max time to drain in-flight requests on shutdown")
 		debug        = flag.Bool("debug", false, "expose /debug/pprof, /debug/traces and /debug/slow plus runtime gauges (unauthenticated)")
 		slowRequest  = flag.Duration("slow", 0, "log requests slower than this and keep them in /debug/slow (0 = default 1s; -1ns disables)")
-		sample       = flag.Duration("sample", 0, "runtime sampler interval for the sampled gauges (0 = default 10s; needs -debug)")
 		retryMax     = flag.Int("retry-max", 0, "max retries of a transiently-failed model evaluation (0 = default 2; negative disables)")
 		retryBase    = flag.Duration("retry-base", 0, "base retry backoff (0 = default 5ms)")
 		retryCap     = flag.Duration("retry-cap", 0, "max retry backoff (0 = default 250ms)")
@@ -206,7 +187,7 @@ func main() {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "udmserve: loaded %s model %q (%d dims) from %s\n",
-			spec.kind, qualify(spec.tenant, spec.name), m.Dims(), spec.path)
+			spec.kind, server.ModelRef(spec.tenant, spec.name), m.Dims(), spec.path)
 	}
 	for _, j := range joins {
 		c := distrib.NewShardClient(0, distrib.Shard{Name: j.name, URL: j.url},
@@ -217,7 +198,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		tenant, bare := splitTenant(j.name)
+		tenant, bare := server.SplitModelRef(j.name)
 		m, err := server.NewStreamModel(bare, eng, kdeOpt, "")
 		if err != nil {
 			fatal(err)
@@ -234,7 +215,6 @@ func main() {
 		RequestTimeout:   *timeout,
 		MaxInflight:      *maxInflight,
 		CacheSize:        *cacheSize,
-		CacheQuantum:     *cacheQuantum,
 		Workers:          *workers,
 		Debug:            *debug,
 		SlowRequest:      *slowRequest,
@@ -253,10 +233,6 @@ func main() {
 		ModelKDE:       kdeOpt,
 		ModelThreshold: *threshold,
 	})
-	if *debug {
-		stopSampler := obs.StartSampler(srv.Metrics().Registry(), *sample)
-		defer stopSampler()
-	}
 
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -265,7 +241,7 @@ func main() {
 	var served []string
 	for _, t := range reg.Tenants() {
 		for _, n := range reg.TenantNames(t) {
-			served = append(served, qualify(t, n))
+			served = append(served, server.ModelRef(t, n))
 		}
 	}
 	fmt.Fprintf(os.Stderr, "udmserve: listening on %s (models: %s)\n",

@@ -7,10 +7,8 @@
 // coalesces requests onto that pool). A goroutine spawned anywhere
 // else escapes those guarantees: it outlives its caller's context,
 // its panics crash the process, and any float reduction it feeds
-// becomes schedule-dependent. Those substrate packages are exempt (as
-// is internal/obs, whose runtime sampler owns one self-contained
-// ticker goroutine); main packages are entry points and manage their
-// own lifecycles.
+// becomes schedule-dependent. Those substrate packages are exempt;
+// main packages are entry points and manage their own lifecycles.
 package nakedgo
 
 import (
@@ -20,13 +18,10 @@ import (
 )
 
 // substratePkgs are the package-path suffixes sanctioned to spawn
-// goroutines directly. internal/obs joined the list for its runtime
-// sampler (StartSampler): a single self-owned ticker goroutine that
-// touches only atomic gauges and dies on its stop function.
+// goroutines directly.
 var substratePkgs = []string{
 	"internal/parallel",
 	"internal/server",
-	"internal/obs",
 }
 
 var Analyzer = &analysis.Analyzer{

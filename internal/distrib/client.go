@@ -12,8 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"strings"
-
 	"udm/internal/faultinject"
 	"udm/internal/microcluster"
 	"udm/internal/obs"
@@ -28,28 +26,6 @@ import (
 // whole fan-out). The fault-matrix suite uses it to take a shard down
 // mid-query.
 var shardRPC = faultinject.NewPoint("distrib.shard.rpc")
-
-// modelPath maps a model reference to its shard-side wire path: a
-// plain name rides the legacy default-tenant alias, a qualified
-// "tenant/name" reference rides the tenant namespace. Every RPC method
-// goes through here, so the whole distributed protocol — summary,
-// partial, catch-up, forwards, ingest — is tenant-aware with one rule.
-func modelPath(model string) string {
-	if tenant, name, ok := strings.Cut(model, "/"); ok {
-		return "/v1/t/" + tenant + "/models/" + name
-	}
-	return "/v1/models/" + model
-}
-
-// tenantOf extracts the tenant of a qualified "tenant/name" model
-// reference ("" for plain names — the default tenant).
-func tenantOf(model string) string {
-	tenant, _, ok := strings.Cut(model, "/")
-	if !ok {
-		return ""
-	}
-	return tenant
-}
 
 // Shard names one backend udmserve instance.
 type Shard struct {
@@ -198,7 +174,7 @@ func jsonHandle(out any) func(*http.Response) error {
 func (c *ShardClient) Summary(ctx context.Context, model string) (*microcluster.Summarizer, uint64, error) {
 	var sum *microcluster.Summarizer
 	var version uint64
-	err := c.rpc(ctx, http.MethodGet, modelPath(model)+"/summary", nil, nil, func(resp *http.Response) error {
+	err := c.rpc(ctx, http.MethodGet, server.ModelPath(model)+"/summary", nil, nil, func(resp *http.Response) error {
 		v, err := strconv.ParseUint(resp.Header.Get(server.VersionHeader), 10, 64)
 		if err != nil {
 			return fmt.Errorf("distrib: shard %s: summary version header %q: %w",
@@ -219,7 +195,7 @@ func (c *ShardClient) Summary(ctx context.Context, model string) (*microcluster.
 // version.
 func (c *ShardClient) Partial(ctx context.Context, model string, req server.PartialRequest) (server.PartialResponse, error) {
 	var out server.PartialResponse
-	err := c.rpc(ctx, http.MethodPost, modelPath(model)+"/partial", req, nil, jsonHandle(&out))
+	err := c.rpc(ctx, http.MethodPost, server.ModelPath(model)+"/partial", req, nil, jsonHandle(&out))
 	return out, err
 }
 
@@ -227,7 +203,7 @@ func (c *ShardClient) Partial(ctx context.Context, model string, req server.Part
 // — the first half of replica catch-up.
 func (c *ShardClient) Checkpoint(ctx context.Context, model string) (*stream.Engine, error) {
 	var eng *stream.Engine
-	err := c.rpc(ctx, http.MethodGet, modelPath(model)+"/checkpoint", nil, nil, func(resp *http.Response) error {
+	err := c.rpc(ctx, http.MethodGet, server.ModelPath(model)+"/checkpoint", nil, nil, func(resp *http.Response) error {
 		e, err := stream.LoadEngine(resp.Body)
 		if err != nil {
 			return fmt.Errorf("distrib: shard %s: decoding checkpoint: %w", c.shard.Name, err)
@@ -242,7 +218,7 @@ func (c *ShardClient) Checkpoint(ctx context.Context, model string) (*stream.Eng
 // half of replica catch-up.
 func (c *ShardClient) Tail(ctx context.Context, model string, from int64) (server.TailResponse, error) {
 	var out server.TailResponse
-	path := modelPath(model) + "/tail?from=" + strconv.FormatInt(from, 10)
+	path := server.ModelPath(model) + "/tail?from=" + strconv.FormatInt(from, 10)
 	err := c.rpc(ctx, http.MethodGet, path, nil, nil, jsonHandle(&out))
 	return out, err
 }
@@ -250,21 +226,21 @@ func (c *ShardClient) Tail(ctx context.Context, model string, from int64) (serve
 // Classify forwards a classify request (replicated models).
 func (c *ShardClient) Classify(ctx context.Context, model string, req server.ClassifyRequest) (server.ClassifyResponse, error) {
 	var out server.ClassifyResponse
-	err := c.rpc(ctx, http.MethodPost, modelPath(model)+"/classify", req, nil, jsonHandle(&out))
+	err := c.rpc(ctx, http.MethodPost, server.ModelPath(model)+"/classify", req, nil, jsonHandle(&out))
 	return out, err
 }
 
 // Density forwards a density request (replicated models).
 func (c *ShardClient) Density(ctx context.Context, model string, req server.DensityRequest) (server.DensityResponse, error) {
 	var out server.DensityResponse
-	err := c.rpc(ctx, http.MethodPost, modelPath(model)+"/density", req, nil, jsonHandle(&out))
+	err := c.rpc(ctx, http.MethodPost, server.ModelPath(model)+"/density", req, nil, jsonHandle(&out))
 	return out, err
 }
 
 // Outliers forwards an outliers request (replicated models).
 func (c *ShardClient) Outliers(ctx context.Context, model string, req server.OutliersRequest) (server.OutliersResponse, error) {
 	var out server.OutliersResponse
-	err := c.rpc(ctx, http.MethodPost, modelPath(model)+"/outliers", req, nil, jsonHandle(&out))
+	err := c.rpc(ctx, http.MethodPost, server.ModelPath(model)+"/outliers", req, nil, jsonHandle(&out))
 	return out, err
 }
 
@@ -296,6 +272,6 @@ func (c *ShardClient) Ingest(ctx context.Context, model string, req server.Inges
 	key := ingestKeyPrefix + "-" + strconv.FormatUint(ingestKeySeq.Add(1), 10)
 	hdr := http.Header{server.IdempotencyHeader: []string{key}}
 	var out server.IngestResponse
-	err := c.rpc(ctx, http.MethodPost, modelPath(model)+"/ingest", req, hdr, jsonHandle(&out))
+	err := c.rpc(ctx, http.MethodPost, server.ModelPath(model)+"/ingest", req, hdr, jsonHandle(&out))
 	return out, err
 }

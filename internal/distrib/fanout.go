@@ -440,7 +440,7 @@ func (c *Coordinator) Ingest(ctx context.Context, req server.IngestRequest) (ser
 	c.fanouts.Inc()
 	k := len(c.shards)
 	groups := make([]server.IngestRequest, k)
-	tenant := tenantOf(c.model)
+	tenant, _ := server.SplitModelRef(c.model)
 	for idx, x := range req.Points {
 		o := c.ring.OwnerPointTenant(tenant, x)
 		g := &groups[o]

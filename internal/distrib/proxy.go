@@ -3,17 +3,13 @@ package distrib
 import (
 	"context"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
-	"strings"
 	"time"
 
 	"udm/internal/evalopt"
 	"udm/internal/kde"
-	"udm/internal/kernel"
 	"udm/internal/obs"
-	"udm/internal/outlier"
 	"udm/internal/server"
 	"udm/internal/udmerr"
 )
@@ -25,10 +21,10 @@ import (
 // so a mismatch breaks bit-identity).
 type ModelConfig struct {
 	// Name is the model's reference: a plain name lives in the default
-	// tenant, a qualified "tenant/name" in that tenant's namespace. The
-	// proxy addresses the shards through the matching namespace, so a
-	// qualified model must be registered under the same tenant on every
-	// shard.
+	// tenant, a qualified "tenant/name" in that tenant's namespace, and
+	// "default/x" is the same model as "x". The proxy addresses the
+	// shards through the matching namespace, so a qualified model must
+	// be registered under the same tenant on every shard.
 	Name string
 	Mode Mode
 	Dims int
@@ -137,8 +133,10 @@ func NewProxyContext(ctx context.Context, shards []Shard, models []ModelConfig, 
 	}
 	ctx = obs.WithTracer(ctx, p.front.Tracer())
 	for _, cfg := range models {
-		if _, dup := p.models[cfg.Name]; dup || !validModelRef(cfg.Name) {
-			return nil, fmt.Errorf("distrib: duplicate or invalid model reference %q", cfg.Name)
+		ref := cfg.Name
+		cfg.Name = server.ModelRef(server.SplitModelRef(ref)) // "default/x" is "x"
+		if _, dup := p.models[cfg.Name]; dup || !server.ValidModelRef(ref) {
+			return nil, fmt.Errorf("distrib: duplicate or invalid model reference %q", ref)
 		}
 		if cfg.Mode != ModePartitioned && cfg.Mode != ModeReplicated {
 			return nil, fmt.Errorf("distrib: model %q: mode %q is not %q or %q: %w",
@@ -181,10 +179,10 @@ func (p *Proxy) Handler() http.Handler { return p.front.Handler() }
 // Metrics exposes the proxy's counters.
 func (p *Proxy) Metrics() *Metrics { return p.metrics }
 
-// Coordinator returns the named model's coordinator (nil when absent)
-// — exposed for cmd/udmproxy and tests.
+// Coordinator returns the referenced model's coordinator (nil when
+// absent) — exposed for cmd/udmproxy and tests.
 func (p *Proxy) Coordinator(model string) *Coordinator {
-	pm, ok := p.models[model]
+	pm, ok := p.models[server.ModelRef(server.SplitModelRef(model))]
 	if !ok {
 		return nil
 	}
@@ -211,24 +209,6 @@ func (p *Proxy) routes() {
 	f.Route("POST /models/{model}/ingest", f.Guard("ingest", p.handleIngest))
 }
 
-// validModelRef accepts a plain model name or a "tenant/name"
-// qualified reference, both parts under the server's identifier rules.
-func validModelRef(ref string) bool {
-	if tenant, name, ok := strings.Cut(ref, "/"); ok {
-		return server.ValidIdent(tenant) && server.ValidIdent(name)
-	}
-	return server.ValidIdent(ref)
-}
-
-// modelRef builds the registry key a (tenant, name) pair addresses:
-// default-tenant models are registered under their plain name.
-func modelRef(tenant, name string) string {
-	if tenant == server.DefaultTenant {
-		return name
-	}
-	return tenant + "/" + name
-}
-
 // model resolves the request's (tenant, model) pair against the
 // configured model references.
 func (p *Proxy) model(w http.ResponseWriter, r *http.Request) (*proxyModel, bool) {
@@ -237,33 +217,13 @@ func (p *Proxy) model(w http.ResponseWriter, r *http.Request) (*proxyModel, bool
 		return nil, false
 	}
 	name := r.PathValue("model")
-	pm, ok := p.models[modelRef(tenant, name)]
+	pm, ok := p.models[server.ModelRef(tenant, name)]
 	if !ok {
 		p.front.Error(w, http.StatusNotFound, "model_not_found",
 			fmt.Sprintf("no model named %q in tenant %q (have %v)", name, tenant, p.names))
 		return nil, false
 	}
 	return pm, true
-}
-
-// points mirrors the server's single/multi point normalization and
-// width validation.
-func (p *Proxy) points(pm *proxyModel, point []float64, rows [][]float64) ([][]float64, bool, error) {
-	single := false
-	if point != nil {
-		rows = append([][]float64{point}, rows...)
-		single = len(rows) == 1
-	}
-	if len(rows) == 0 {
-		return nil, false, fmt.Errorf("distrib: no points in request: %w", udmerr.ErrBadOption)
-	}
-	for i, x := range rows {
-		if len(x) != pm.cfg.Dims {
-			return nil, false, fmt.Errorf("distrib: point %d has %d dims, model %q has %d: %w",
-				i, len(x), pm.cfg.Name, pm.cfg.Dims, udmerr.ErrDimensionMismatch)
-		}
-	}
-	return rows, single, nil
 }
 
 func (p *Proxy) handleModels(w http.ResponseWriter, r *http.Request) {
@@ -279,10 +239,7 @@ func (p *Proxy) handleModels(w http.ResponseWriter, r *http.Request) {
 	}
 	out := make([]info, 0, len(p.names))
 	for _, ref := range p.names {
-		refTenant, name, qualified := strings.Cut(ref, "/")
-		if !qualified {
-			refTenant, name = server.DefaultTenant, ref
-		}
+		refTenant, name := server.SplitModelRef(ref)
 		if refTenant != tenant {
 			continue
 		}
@@ -306,7 +263,7 @@ func (p *Proxy) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if !p.front.Decode(w, r, &req) {
 		return
 	}
-	rows, single, err := p.points(pm, req.Point, req.Points)
+	rows, single, err := req.Validate(pm.cfg.Name, pm.cfg.Dims)
 	if err != nil {
 		p.front.Fail(w, err)
 		return
@@ -332,31 +289,9 @@ func (p *Proxy) handleDensity(w http.ResponseWriter, r *http.Request) {
 	if !p.front.Decode(w, r, &req) {
 		return
 	}
-	rows, single, err := p.points(pm, req.Point, req.Points)
+	rows, single, acc, bk, err := req.Validate(w, r, pm.cfg.Name, pm.cfg.Dims)
 	if err != nil {
 		p.front.Fail(w, err)
-		return
-	}
-	for _, j := range req.Dims {
-		if j < 0 || j >= pm.cfg.Dims {
-			p.front.Fail(w, fmt.Errorf("distrib: subspace dimension %d out of range [0,%d): %w",
-				j, pm.cfg.Dims, udmerr.ErrDimensionMismatch))
-			return
-		}
-	}
-	acc, accOK := kernel.ParseAccuracy(req.Accuracy, req.Epsilon)
-	if !accOK {
-		p.front.Fail(w, fmt.Errorf("distrib: accuracy %q with epsilon %v is not a valid mode: %w",
-			req.Accuracy, req.Epsilon, udmerr.ErrBadOption))
-		return
-	}
-	bkName := req.Backend
-	if bkName == "" {
-		bkName = r.Header.Get("X-UDM-Backend")
-	}
-	bk, err := evalopt.ParseBackend(bkName)
-	if err != nil {
-		p.front.Fail(w, fmt.Errorf("distrib: %w", err))
 		return
 	}
 	if pm.cfg.Mode == ModePartitioned {
@@ -364,7 +299,7 @@ func (p *Proxy) handleDensity(w http.ResponseWriter, r *http.Request) {
 		// accuracy modes and backends have no cross-shard merge story.
 		if !acc.IsExact() || (bk != evalopt.BackendDefault && bk != evalopt.BackendExact) {
 			p.front.Fail(w, fmt.Errorf("distrib: model %q is partitioned; fan-out density is exact-only (got accuracy %q, backend %q): %w",
-				pm.cfg.Name, req.Accuracy, bkName, udmerr.ErrBadOption))
+				pm.cfg.Name, acc, bk, udmerr.ErrBadOption))
 			return
 		}
 		var ds []float64
@@ -415,17 +350,9 @@ func (p *Proxy) handleOutliers(w http.ResponseWriter, r *http.Request) {
 	if !p.front.Decode(w, r, &req) {
 		return
 	}
-	rows, _, err := p.points(pm, nil, req.Points)
-	if err != nil {
+	if err := req.Validate(pm.cfg.Name, pm.cfg.Dims); err != nil {
 		p.front.Fail(w, err)
 		return
-	}
-	for i, er := range req.Errors {
-		if er != nil && len(er) != pm.cfg.Dims {
-			p.front.Fail(w, fmt.Errorf("distrib: error row %d has %d dims, model %q has %d: %w",
-				i, len(er), pm.cfg.Name, pm.cfg.Dims, udmerr.ErrDimensionMismatch))
-			return
-		}
 	}
 	if pm.cfg.Mode == ModeReplicated {
 		resp, err := pm.co.ForwardOutliers(r.Context(), req)
@@ -444,40 +371,12 @@ func (p *Proxy) handleOutliers(w http.ResponseWriter, r *http.Request) {
 		p.front.Fail(w, err)
 		return
 	}
-	opt := outlier.Options{
-		Contamination: req.Contamination,
-		Dims:          req.Dims,
-		KDE:           pm.cfg.KDE,
-	}
-	if req.Errors != nil {
-		opt.UseQueryError = true
-		opt.KDE.ErrorAdjust = true
-	}
-	res, err := outlier.DetectStream(head.Sum, rows, req.Errors, opt)
+	resp, err := server.ScoreOutliers(head.Sum, pm.cfg.KDE, req)
 	if err != nil {
 		p.front.Fail(w, err)
 		return
 	}
-	scores := make([]float64, len(res.Scores))
-	for i, v := range res.Scores {
-		scores[i] = finite(v)
-	}
-	p.front.WriteJSON(w, http.StatusOK, server.OutliersResponse{
-		Scores:    scores,
-		Outliers:  res.Outlier,
-		Threshold: finite(res.Threshold),
-	})
-}
-
-// finite mirrors the server's JSON clamp for ±Inf/NaN scores.
-func finite(v float64) float64 {
-	switch {
-	case math.IsInf(v, -1):
-		return -math.MaxFloat64
-	case math.IsInf(v, 1), math.IsNaN(v):
-		return math.MaxFloat64
-	}
-	return v
+	p.front.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (p *Proxy) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -494,26 +393,9 @@ func (p *Proxy) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !p.front.Decode(w, r, &req) {
 		return
 	}
-	if _, _, err := p.points(pm, nil, req.Points); err != nil {
+	if err := req.Validate(pm.cfg.Name, pm.cfg.Dims); err != nil {
 		p.front.Fail(w, err)
 		return
-	}
-	if req.Errors != nil && len(req.Errors) != len(req.Points) {
-		p.front.Fail(w, fmt.Errorf("distrib: %d error rows for %d points: %w",
-			len(req.Errors), len(req.Points), udmerr.ErrDimensionMismatch))
-		return
-	}
-	if req.Timestamps != nil && len(req.Timestamps) != len(req.Points) {
-		p.front.Fail(w, fmt.Errorf("distrib: %d timestamps for %d points: %w",
-			len(req.Timestamps), len(req.Points), udmerr.ErrDimensionMismatch))
-		return
-	}
-	for i, er := range req.Errors {
-		if er != nil && len(er) != pm.cfg.Dims {
-			p.front.Fail(w, fmt.Errorf("distrib: error row %d has %d dims, model %q has %d: %w",
-				i, len(er), pm.cfg.Name, pm.cfg.Dims, udmerr.ErrDimensionMismatch))
-			return
-		}
 	}
 	resp, err := pm.co.Ingest(r.Context(), req)
 	if err != nil {

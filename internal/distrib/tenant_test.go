@@ -67,35 +67,3 @@ func TestRingOwnerPointTenant(t *testing.T) {
 		t.Fatal("tenants a and b routed 64 points identically: the salt is inert")
 	}
 }
-
-// TestModelPathQualified: qualified "tenant/name" refs map to the
-// namespaced URL space; plain names keep the legacy paths.
-func TestModelPathQualified(t *testing.T) {
-	cases := []struct{ ref, path, tenant string }{
-		{"live", "/v1/models/live", ""},
-		{"acme/live", "/v1/t/acme/models/live", "acme"},
-		{"default/live", "/v1/t/default/models/live", "default"},
-	}
-	for _, c := range cases {
-		if got := modelPath(c.ref); got != c.path {
-			t.Errorf("modelPath(%q) = %q, want %q", c.ref, got, c.path)
-		}
-		if got := tenantOf(c.ref); got != c.tenant {
-			t.Errorf("tenantOf(%q) = %q, want %q", c.ref, got, c.tenant)
-		}
-	}
-}
-
-// TestValidModelRef: the proxy's config-time validation of model refs.
-func TestValidModelRef(t *testing.T) {
-	for _, ok := range []string{"live", "acme/live", "a.b-c_d/x"} {
-		if !validModelRef(ok) {
-			t.Errorf("validModelRef(%q) = false, want true", ok)
-		}
-	}
-	for _, bad := range []string{"", "a/", "/x", "a/b/c", "../x", "a/..", "a b/x"} {
-		if validModelRef(bad) {
-			t.Errorf("validModelRef(%q) = true, want false", bad)
-		}
-	}
-}

@@ -136,8 +136,10 @@ func validLabelKey(k string) bool {
 }
 
 // register get-or-creates the entry for (name, labels), enforcing kind
-// agreement.
-func (r *Registry) register(name, help string, kind metricKind, labels []string) *entry {
+// agreement, and runs fill on it under the registry lock, so a
+// concurrent registration or render never sees an entry without its
+// value.
+func (r *Registry) register(name, help string, kind metricKind, labels []string, fill func(*entry)) *entry {
 	if !validMetricName(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
@@ -152,42 +154,41 @@ func (r *Registry) register(name, help string, kind metricKind, labels []string)
 	key := seriesKey(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e, ok := r.entries[key]; ok {
-		if e.kind != kind {
-			panic(fmt.Sprintf("obs: metric %s already registered as %s, not %s", key, e.kind, kind))
-		}
-		return e
+	e, ok := r.entries[key]
+	if !ok {
+		e = &entry{name: name, help: help, kind: kind, labels: labels}
+		r.entries[key] = e
+	} else if e.kind != kind {
+		panic(fmt.Sprintf("obs: metric %s already registered as %s, not %s", key, e.kind, kind))
 	}
-	e := &entry{name: name, help: help, kind: kind, labels: labels}
-	r.entries[key] = e
+	fill(e)
 	return e
 }
 
 // Counter get-or-creates a monotonically increasing counter. labels are
 // alternating key, value pairs fixed at registration.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	e := r.register(name, help, kindCounter, labels)
-	if e.counter == nil {
-		e.counter = &Counter{}
-	}
-	return e.counter
+	return r.register(name, help, kindCounter, labels, func(e *entry) {
+		if e.counter == nil {
+			e.counter = &Counter{}
+		}
+	}).counter
 }
 
 // Gauge get-or-creates a gauge: a float value that can go up and down.
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	e := r.register(name, help, kindGauge, labels)
-	if e.gauge == nil {
-		e.gauge = &Gauge{}
-	}
-	return e.gauge
+	return r.register(name, help, kindGauge, labels, func(e *entry) {
+		if e.gauge == nil {
+			e.gauge = &Gauge{}
+		}
+	}).gauge
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at every
 // scrape — the hook runtime introspection rides on. Re-registering the
 // same series replaces the function.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
-	e := r.register(name, help, kindGaugeFunc, labels)
-	e.gaugeFunc = fn
+	r.register(name, help, kindGaugeFunc, labels, func(e *entry) { e.gaugeFunc = fn })
 }
 
 // Histogram get-or-creates a fixed-bucket histogram. buckets are the
@@ -203,13 +204,13 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 	if len(buckets) == 0 {
 		panic(fmt.Sprintf("obs: histogram %s needs at least one finite bucket", name))
 	}
-	e := r.register(name, help, kindHistogram, labels)
-	if e.hist == nil {
-		bounds := make([]float64, len(buckets))
-		copy(bounds, buckets)
-		e.hist = &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(buckets)+1)}
-	}
-	return e.hist
+	return r.register(name, help, kindHistogram, labels, func(e *entry) {
+		if e.hist == nil {
+			bounds := make([]float64, len(buckets))
+			copy(bounds, buckets)
+			e.hist = &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(buckets)+1)}
+		}
+	}).hist
 }
 
 // ExpBuckets returns n exponentially growing bucket upper bounds:

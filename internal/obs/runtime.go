@@ -48,44 +48,3 @@ func RegisterRuntimeGauges(reg *Registry) {
 	reg.GaugeFunc("udm_runtime_gc_pause_seconds", "cumulative GC stop-the-world pause time",
 		func() float64 { return float64(mem.read().PauseTotalNs) / 1e9 })
 }
-
-// StartSampler launches the obs sampling goroutine: every interval it
-// refreshes a pair of explicitly sampled gauges
-// (udm_runtime_sampled_goroutines, udm_runtime_sampled_heap_alloc_bytes)
-// so dashboards get a steady series even between scrapes, and keeps
-// them fresh while the process is otherwise idle. It returns a stop
-// function that terminates the goroutine; calling stop more than once
-// is safe. interval ≤ 0 defaults to 10s.
-//
-// This is the one sanctioned raw goroutine outside the concurrency
-// substrate (see the nakedgo analyzer): it owns no caller-visible
-// state, touches only atomic gauges, and dies on stop.
-func StartSampler(reg *Registry, interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = 10 * time.Second
-	}
-	goroutines := reg.Gauge("udm_runtime_sampled_goroutines", "goroutines at the last sampler tick")
-	heap := reg.Gauge("udm_runtime_sampled_heap_alloc_bytes", "heap bytes at the last sampler tick")
-	sample := func() {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		goroutines.Set(float64(runtime.NumGoroutine()))
-		heap.Set(float64(ms.HeapAlloc))
-	}
-	sample()
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				sample()
-			case <-done:
-				return
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
-}

@@ -452,37 +452,33 @@ func TestLRUCache(t *testing.T) {
 
 func TestCacheKey(t *testing.T) {
 	x := []float64{1.25, -3.5}
-	exact1 := cacheKey("default", "m", 1, 0, "exact", nil, x, 0)
-	exact2 := cacheKey("default", "m", 1, 0, "exact", nil, []float64{1.25, -3.5}, 0)
+	exact1 := cacheKey("default", "m", 1, 0, "exact", nil, x)
+	exact2 := cacheKey("default", "m", 1, 0, "exact", nil, []float64{1.25, -3.5})
 	if exact1 != exact2 {
 		t.Error("identical points produced different exact keys")
 	}
-	if cacheKey("default", "m", 1, 0, "exact", nil, []float64{1.25, -3.5000001}, 0) == exact1 {
+	if cacheKey("default", "m", 1, 0, "exact", nil, []float64{1.25, -3.5000001}) == exact1 {
 		t.Error("distinct points collided under exact keying")
 	}
-	if cacheKey("default", "m", 1, 1, "exact", nil, x, 0) == exact1 {
+	if cacheKey("default", "m", 1, 1, "exact", nil, x) == exact1 {
 		t.Error("model version not part of the key (stale cache after ingest)")
 	}
-	if cacheKey("default", "m", 2, 0, "exact", nil, x, 0) == exact1 {
+	if cacheKey("default", "m", 2, 0, "exact", nil, x) == exact1 {
 		t.Error("activation generation not part of the key (stale cache after hot-swap)")
 	}
-	if cacheKey("tenant-b", "m", 1, 0, "exact", nil, x, 0) == exact1 {
+	if cacheKey("tenant-b", "m", 1, 0, "exact", nil, x) == exact1 {
 		t.Error("tenant not part of the key (tenants would alias each other's densities)")
 	}
-	if cacheKey("default", "m", 1, 0, "exact", []int{0}, x, 0) == exact1 {
+	if cacheKey("default", "m", 1, 0, "exact", []int{0}, x) == exact1 {
 		t.Error("subspace dims not part of the key")
 	}
-	if cacheKey("default", "other", 1, 0, "exact", nil, x, 0) == exact1 {
+	if cacheKey("default", "other", 1, 0, "exact", nil, x) == exact1 {
 		t.Error("model name not part of the key")
 	}
-	if cacheKey("default", "m", 1, 0, "approx(1e-06)", nil, x, 0) == exact1 {
+	if cacheKey("default", "m", 1, 0, "approx(1e-06)", nil, x) == exact1 {
 		t.Error("accuracy mode not part of the key (approx answers would alias exact)")
 	}
-	if cacheKey("default", "m", 1, 0, "approx(1e-06)", nil, x, 0) == cacheKey("default", "m", 1, 0, "approx(1e-03)", nil, x, 0) {
+	if cacheKey("default", "m", 1, 0, "approx(1e-06)", nil, x) == cacheKey("default", "m", 1, 0, "approx(1e-03)", nil, x) {
 		t.Error("distinct epsilon budgets shared a key")
-	}
-	// Quantized keys merge near-identical points.
-	if cacheKey("default", "m", 1, 0, "exact", nil, []float64{1.2501, -3.5}, 0.01) != cacheKey("default", "m", 1, 0, "exact", nil, []float64{1.2503, -3.5}, 0.01) {
-		t.Error("quantization did not merge nearby points")
 	}
 }

@@ -80,21 +80,19 @@ func (c *lruCache) len() int {
 }
 
 // cacheKey builds the density-cache key for (tenant, model, activation
-// generation, model version, accuracy mode, dimension subset, quantized
-// query point). The tenant is a mandatory component: two tenants
-// serving the same float batch under the same model name are different
-// answers, and neither tenant's ingestion may retire — or serve — the
-// other's entries. The generation segments entries across hot-swaps
-// (static models stay at version 0 forever, so version alone cannot
-// tell v1's answers from v2's). mode is the accuracy mode's String() —
-// exact and approximate answers for the same point must never share an
-// entry, and different ε budgets are distinct answers too. With
-// quantum ≤ 0 the point is keyed by its exact float64 bits, so a hit
-// can only come from a bit-identical query and cached answers equal
-// direct library calls bit for bit. A positive quantum buckets each
-// coordinate to the nearest multiple — higher hit rates at the cost of
-// answering nearby queries with the neighbor's density.
-func cacheKey(tenant, model string, gen, version uint64, mode string, dims []int, x []float64, quantum float64) string {
+// generation, model version, accuracy mode, dimension subset, query
+// point). The tenant is a mandatory component: two tenants serving the
+// same float batch under the same model name are different answers,
+// and neither tenant's ingestion may retire — or serve — the other's
+// entries. The generation segments entries across hot-swaps (static
+// models stay at version 0 forever, so version alone cannot tell v1's
+// answers from v2's). mode is the accuracy mode's String() — exact and
+// approximate answers for the same point must never share an entry,
+// and different ε budgets are distinct answers too. The point is keyed
+// by its exact float64 bits, so a hit can only come from a
+// bit-identical query and cached answers equal direct library calls
+// bit for bit.
+func cacheKey(tenant, model string, gen, version uint64, mode string, dims []int, x []float64) string {
 	var b strings.Builder
 	b.Grow(len(tenant) + len(model) + len(mode) + 9 + 20*(len(dims)+len(x)))
 	b.WriteString(tenant)
@@ -117,11 +115,7 @@ func cacheKey(tenant, model string, gen, version uint64, mode string, dims []int
 	}
 	b.WriteByte('|')
 	for _, v := range x {
-		if quantum > 0 {
-			b.WriteString(strconv.FormatInt(int64(math.Round(v/quantum)), 36))
-		} else {
-			b.WriteString(strconv.FormatUint(math.Float64bits(v), 36))
-		}
+		b.WriteString(strconv.FormatUint(math.Float64bits(v), 36))
 		b.WriteByte(',')
 	}
 	return b.String()

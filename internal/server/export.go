@@ -4,69 +4,15 @@ import (
 	"context"
 
 	"udm/internal/obs"
-
-	"udm/internal/udmerr"
 )
 
 // This file is the serving substrate the distributed front tier
 // (internal/distrib, cmd/udmproxy) reuses: the retry/breaker stack as
-// a per-target Guard, the request coalescer, the wire shapes, and the
-// sentinel↔status mapping. Everything here is a thin export of
+// a per-target Guard and the request coalescer (the wire contract it
+// shares is in wire.go). Everything here is a thin export of
 // machinery this package already runs in production — the proxy gets
 // the exact same resilience semantics as the single-node server, not a
 // reimplementation.
-
-// Wire shapes shared verbatim with the single-node server, so the
-// proxy is drop-in URL- and body-compatible.
-type (
-	ClassifyRequest  = classifyRequest
-	ClassifyResponse = classifyResponse
-	DensityRequest   = densityRequest
-	DensityResponse  = densityResponse
-	OutliersRequest  = outliersRequest
-	OutliersResponse = outliersResponse
-	IngestRequest    = ingestRequest
-	IngestResponse   = ingestResponse
-	PartialRequest   = partialRequest
-	PartialResponse  = partialResponse
-	TailResponse     = tailResponse
-	ErrorBody        = errorBody
-)
-
-// SentinelFor inverts the wire mapping: the sentinel error a stable
-// code stands for, or nil for codes with no sentinel (e.g.
-// "internal"). Clients of the protocol wrap the sentinel so their
-// callers classify remote failures with errors.Is, never by matching
-// message strings.
-func SentinelFor(code string) error {
-	switch code {
-	case "dimension_mismatch":
-		return udmerr.ErrDimensionMismatch
-	case "bad_option", "malformed_json":
-		return udmerr.ErrBadOption
-	case "no_errors":
-		return udmerr.ErrNoErrors
-	case "untrained":
-		return udmerr.ErrUntrained
-	case "stale_version":
-		return udmerr.ErrStaleVersion
-	case "tail_expired":
-		return udmerr.ErrTailExpired
-	case "shard_timeout":
-		return udmerr.ErrShardTimeout
-	case "circuit_open":
-		return udmerr.ErrCircuitOpen
-	case "degraded":
-		return udmerr.ErrDegraded
-	case "injected_fault":
-		return udmerr.ErrInjected
-	case "timeout":
-		return context.DeadlineExceeded
-	case "client_closed_request":
-		return context.Canceled
-	}
-	return nil
-}
 
 // Guard bundles one target's resilience stack — the shared
 // decorrelated-jitter retrier and a circuit breaker — for callers

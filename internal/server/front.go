@@ -198,7 +198,7 @@ func (f *Front) Guard(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 		defer cancel()
 		ctx, sp := obs.StartSpan(obs.WithTracer(ctx, f.tracer), spanName)
 		defer sp.End()
-		sp.Attr("model", qualified(tenant, r.PathValue("model")))
+		sp.Attr("model", ModelRef(tenant, r.PathValue("model")))
 		start := time.Now()
 		h(w, r.WithContext(ctx))
 		d := time.Since(start).Seconds()

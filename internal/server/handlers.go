@@ -4,55 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 
 	"udm/internal/evalopt"
 	"udm/internal/kde"
 	"udm/internal/kernel"
-	"udm/internal/outlier"
 	"udm/internal/udmerr"
 )
-
-// StatusClientClosedRequest is the nginx-convention status for a
-// client that disconnected before the response was ready. The client
-// never sees it; it keeps access logs honest.
-const StatusClientClosedRequest = 499
-
-// statusFor maps an error to (HTTP status, stable code) via errors.Is
-// on the module's sentinel errors — the serving-layer payoff of the
-// error contract: no string matching anywhere.
-func statusFor(err error) (int, string) {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout, "timeout"
-	case errors.Is(err, context.Canceled):
-		return StatusClientClosedRequest, "client_closed_request"
-	case errors.Is(err, udmerr.ErrDimensionMismatch):
-		return http.StatusBadRequest, "dimension_mismatch"
-	case errors.Is(err, udmerr.ErrBadOption):
-		return http.StatusBadRequest, "bad_option"
-	case errors.Is(err, udmerr.ErrNoErrors):
-		return http.StatusBadRequest, "no_errors"
-	case errors.Is(err, udmerr.ErrUntrained):
-		return http.StatusConflict, "untrained"
-	case errors.Is(err, udmerr.ErrStaleVersion):
-		return http.StatusConflict, "stale_version"
-	case errors.Is(err, udmerr.ErrTailExpired):
-		return http.StatusGone, "tail_expired"
-	case errors.Is(err, udmerr.ErrShardTimeout):
-		return http.StatusGatewayTimeout, "shard_timeout"
-	case errors.Is(err, udmerr.ErrCircuitOpen):
-		return http.StatusServiceUnavailable, "circuit_open"
-	case errors.Is(err, udmerr.ErrDegraded):
-		return http.StatusServiceUnavailable, "degraded"
-	case errors.Is(err, udmerr.ErrInjected):
-		return http.StatusBadGateway, "injected_fault"
-	default:
-		return http.StatusInternalServerError, "internal"
-	}
-}
 
 // evalRetry runs one direct (non-coalesced) model evaluation under the
 // eval fault point, the slot's circuit breaker, and the server's retry
@@ -87,27 +46,6 @@ func (s *Server) model(w http.ResponseWriter, r *http.Request) (*servedModel, bo
 	}
 	w.Header().Set(ModelVersionHeader, strconv.FormatUint(sm.gen, 10))
 	return sm, true
-}
-
-// points normalizes the single-point / multi-point request shape and
-// validates every row's width against the model, returning a
-// dimension-mismatch error (→ 400) on disagreement.
-func points(m *Model, point []float64, rows [][]float64) ([][]float64, bool, error) {
-	single := false
-	if point != nil {
-		rows = append([][]float64{point}, rows...)
-		single = len(rows) == 1
-	}
-	if len(rows) == 0 {
-		return nil, false, fmt.Errorf("server: no points in request: %w", udmerr.ErrBadOption)
-	}
-	for i, x := range rows {
-		if len(x) != m.Dims() {
-			return nil, false, fmt.Errorf("server: point %d has %d dims, model %q has %d: %w",
-				i, len(x), m.Name(), m.Dims(), udmerr.ErrDimensionMismatch)
-		}
-	}
-	return rows, single, nil
 }
 
 // --- introspection (Options.Debug) ---
@@ -184,7 +122,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if !s.front.Decode(w, r, &req) {
 		return
 	}
-	rows, single, err := points(m, req.Point, req.Points)
+	rows, single, err := req.Validate(m.Name(), m.Dims())
 	if err != nil {
 		s.front.Fail(w, err)
 		return
@@ -259,40 +197,10 @@ func (s *Server) handleDensity(w http.ResponseWriter, r *http.Request) {
 	if !s.front.Decode(w, r, &req) {
 		return
 	}
-	rows, single, err := points(m, req.Point, req.Points)
+	rows, single, acc, bk, err := req.Validate(w, r, m.Name(), m.Dims())
 	if err != nil {
 		s.front.Fail(w, err)
 		return
-	}
-	for _, j := range req.Dims {
-		if j < 0 || j >= m.Dims() {
-			s.front.Fail(w, fmt.Errorf("server: subspace dimension %d out of range [0,%d): %w",
-				j, m.Dims(), udmerr.ErrDimensionMismatch))
-			return
-		}
-	}
-	acc, ok := kernel.ParseAccuracy(req.Accuracy, req.Epsilon)
-	if !ok {
-		s.front.Fail(w, fmt.Errorf("server: accuracy %q with epsilon %v is not a valid mode (want \"exact\" or \"approx\" with epsilon > 0): %w",
-			req.Accuracy, req.Epsilon, udmerr.ErrBadOption))
-		return
-	}
-	// Backend selection: JSON field first, X-UDM-Backend header as the
-	// fallback. Responses echo the backend header only when one was
-	// explicitly requested, so default responses stay byte-identical to
-	// the pre-backend wire format.
-	bkName := req.Backend
-	if bkName == "" {
-		bkName = r.Header.Get("X-UDM-Backend")
-	}
-	bk, err := evalopt.ParseBackend(bkName)
-	if err != nil {
-		s.front.Fail(w, fmt.Errorf("server: %w", err))
-		return
-	}
-	w.Header().Set("X-UDM-Accuracy", acc.String())
-	if bkName != "" {
-		w.Header().Set("X-UDM-Backend", string(bk))
 	}
 	if single {
 		d, cached, degraded, err := s.densityOne(r.Context(), sm, rows[0], req.Dims, bk, acc)
@@ -348,8 +256,8 @@ func (s *Server) densityOne(ctx context.Context, sm *servedModel, x []float64, d
 	if !exactBackend {
 		mode = string(bk) + ":" + mode
 	}
-	key := cacheKey(sm.tenant, m.Name(), sm.gen, m.version(), mode, dims, x, s.opt.CacheQuantum)
-	skey := cacheKey(sm.tenant, m.Name(), 0, staleVersion, mode, dims, x, s.opt.CacheQuantum)
+	key := cacheKey(sm.tenant, m.Name(), sm.gen, m.version(), mode, dims, x)
+	skey := cacheKey(sm.tenant, m.Name(), 0, staleVersion, mode, dims, x)
 	if ferr := cacheGetFault.Hit(ctx); ferr == nil {
 		if d, ok := s.cache.get(key); ok {
 			s.metrics.CacheHits.Add(1)
@@ -413,66 +321,23 @@ func (s *Server) handleOutliers(w http.ResponseWriter, r *http.Request) {
 	if !s.front.Decode(w, r, &req) {
 		return
 	}
-	rows, _, err := points(m, nil, req.Points)
-	if err != nil {
+	if err := req.Validate(m.Name(), m.Dims()); err != nil {
 		s.front.Fail(w, err)
 		return
-	}
-	for i, er := range req.Errors {
-		if er != nil && len(er) != m.Dims() {
-			s.front.Fail(w, fmt.Errorf("server: error row %d has %d dims, model %q has %d: %w",
-				i, len(er), m.Name(), m.Dims(), udmerr.ErrDimensionMismatch))
-			return
-		}
 	}
 	sum, err := m.summarizer()
 	if err != nil {
 		s.front.Fail(w, err)
 		return
 	}
-	opt := outlier.Options{
-		Contamination: req.Contamination,
-		Dims:          req.Dims,
-		KDE:           m.kdeOpt,
-	}
-	if req.Errors != nil {
-		// Folding per-query error bars into the score requires the
-		// error-adjusted kernel.
-		opt.UseQueryError = true
-		opt.KDE.ErrorAdjust = true
-	}
-	res, err := evalRetry(r.Context(), s, s.breakerFor(sm.tenant, m.Name()), func(context.Context) (*outlier.Result, error) {
-		return outlier.DetectStream(sum, rows, req.Errors, opt)
+	resp, err := evalRetry(r.Context(), s, s.breakerFor(sm.tenant, m.Name()), func(context.Context) (OutliersResponse, error) {
+		return ScoreOutliers(sum, m.kdeOpt, req)
 	})
 	if err != nil {
 		s.front.Fail(w, err)
 		return
 	}
-	// Scores are -log density, so a point far from every cluster scores
-	// +Inf — which JSON cannot carry. Clamp non-finite values to the
-	// float64 extremes; the outlier flags are computed upstream from the
-	// unclamped scores.
-	scores := make([]float64, len(res.Scores))
-	for i, v := range res.Scores {
-		scores[i] = finite(v)
-	}
-	s.front.WriteJSON(w, http.StatusOK, outliersResponse{
-		Scores:    scores,
-		Outliers:  res.Outlier,
-		Threshold: finite(res.Threshold),
-	})
-}
-
-// finite clamps ±Inf (and NaN, mapped to +MaxFloat64 as "maximally
-// outlying") into the JSON-representable float64 range.
-func finite(v float64) float64 {
-	switch {
-	case math.IsInf(v, -1):
-		return -math.MaxFloat64
-	case math.IsInf(v, 1), math.IsNaN(v):
-		return math.MaxFloat64
-	}
-	return v
+	s.front.WriteJSON(w, http.StatusOK, resp)
 }
 
 // --- /v1/models/{model}/ingest ---
@@ -504,28 +369,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !s.front.Decode(w, r, &req) {
 		return
 	}
-	rows, _, err := points(m, nil, req.Points)
-	if err != nil {
+	if err := req.Validate(m.Name(), m.Dims()); err != nil {
 		s.front.Fail(w, err)
 		return
 	}
-	if req.Errors != nil && len(req.Errors) != len(rows) {
-		s.front.Fail(w, fmt.Errorf("server: %d error rows for %d points: %w",
-			len(req.Errors), len(rows), udmerr.ErrDimensionMismatch))
-		return
-	}
-	if req.Timestamps != nil && len(req.Timestamps) != len(rows) {
-		s.front.Fail(w, fmt.Errorf("server: %d timestamps for %d points: %w",
-			len(req.Timestamps), len(rows), udmerr.ErrDimensionMismatch))
-		return
-	}
-	for i, er := range req.Errors {
-		if er != nil && len(er) != m.Dims() {
-			s.front.Fail(w, fmt.Errorf("server: error row %d has %d dims, model %q has %d: %w",
-				i, len(er), m.Name(), m.Dims(), udmerr.ErrDimensionMismatch))
-			return
-		}
-	}
+	rows := req.Points
 	// The resident-point quota is checked against the tenant's current
 	// footprint plus this batch; a batch that would cross the cap is
 	// refused whole rather than partially applied.

@@ -386,16 +386,6 @@ func (sm *servedModel) Tenant() string { return sm.tenant }
 // X-UDM-Model-Version and folded into density-cache keys).
 func (sm *servedModel) Gen() uint64 { return sm.gen }
 
-// qualified renders "name" for the default tenant and "tenant/name"
-// otherwise — the form used in spans, errors and breaker metric
-// labels, keeping single-tenant dashboards unchanged.
-func qualified(tenant, name string) string {
-	if tenant == DefaultTenant {
-		return name
-	}
-	return tenant + "/" + name
-}
-
 // slot is one (tenant, name) registration: the atomically-published
 // active version plus the staged and previous versions the hot-swap
 // state machine moves between. mu serializes the writers (stage,

@@ -37,11 +37,6 @@ type Options struct {
 	// CacheSize bounds the density LRU cache in entries (default 4096;
 	// negative disables caching).
 	CacheSize int
-	// CacheQuantum quantizes density-cache keys: 0 (default) keys on
-	// exact float bits — cached answers stay bit-identical to direct
-	// library calls — while a positive quantum trades exactness for hit
-	// rate on nearby points.
-	CacheQuantum float64
 	// Workers caps the worker pool used for batched evaluations (≤ 0 =
 	// GOMAXPROCS).
 	Workers int
@@ -266,7 +261,7 @@ func (s *Server) breakerFor(tenant, name string) *breaker {
 	defer s.brMu.Unlock()
 	br, ok := s.breakers[key]
 	if !ok {
-		br = newBreaker(qualified(tenant, name), s.opt, s.metrics.reg)
+		br = newBreaker(ModelRef(tenant, name), s.opt, s.metrics.reg)
 		s.breakers[key] = br
 	}
 	return br

@@ -163,8 +163,7 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	if !s.front.Decode(w, r, &req) {
 		return
 	}
-	rows, _, err := points(m, nil, req.Points)
-	if err != nil {
+	if err := req.Validate(m.Name(), m.Dims()); err != nil {
 		s.front.Fail(w, err)
 		return
 	}
@@ -182,7 +181,7 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 			return partial{}, fmt.Errorf("server: model %q is at version %d, fan-out pinned %d: %w",
 				m.Name(), v, req.Version, udmerr.ErrStaleVersion)
 		}
-		terms, err := est.PartialTermsBatch(rows, req.Dims, kde.BatchOptions{Ctx: ctx, Workers: s.opt.Workers})
+		terms, err := est.PartialTermsBatch(req.Points, req.Dims, kde.BatchOptions{Ctx: ctx, Workers: s.opt.Workers})
 		if err != nil {
 			return partial{}, err
 		}

@@ -172,9 +172,9 @@ func TestTenantNamespaceRouting(t *testing.T) {
 }
 
 // TestTenantCacheIsolation is the aliasing regression for the density
-// cache: with the cache quantum wide enough to catch any repeat, two
-// tenants sharing a model name must still get their own cached
-// densities back, bit for bit.
+// cache: two tenants sharing a model name and querying the same
+// coordinates must still get their own cached densities back, bit for
+// bit.
 func TestTenantCacheIsolation(t *testing.T) {
 	s := tenantServer(t, Options{CacheSize: 64})
 	ts := httptest.NewServer(s.Handler())
