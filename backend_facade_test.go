@@ -11,12 +11,12 @@ import (
 // DensityBatchOpts path over every rung.
 
 func TestFacadeParseEvalOptions(t *testing.T) {
-	opt, err := udm.ParseEvalOptions("backend=grid,epsilon=0.05,workers=2,seed=9")
+	opt, err := udm.ParseEvalOptions("backend=grid,epsilon=0.05,seed=9")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.Backend != udm.BackendGrid || opt.Epsilon != 0.05 || opt.Workers != 2 || opt.Seed != 9 {
-		t.Errorf("parsed %+v, want grid/0.05/2 workers/seed 9", opt)
+	if opt.Backend != udm.BackendGrid || opt.Epsilon != 0.05 || opt.Seed != 9 {
+		t.Errorf("parsed %+v, want grid/0.05/seed 9", opt)
 	}
 	// The canonical String form round-trips.
 	back, err := udm.ParseEvalOptions(opt.String())

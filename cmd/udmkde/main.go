@@ -10,13 +10,16 @@
 //	udmkde -in data.csv -dim age -plot
 //	udmkde -in data.csv -dim x -dim2 y -grid 30
 //	udmkde -in data.csv -dim v -q 200 -cv
-//	udmkde -in data.csv -dim v -backend micro
+//	udmkde -in data.csv -dim v -eval micro
 //	udmkde -in data.csv -dim v -eval backend=grid,epsilon=0.05,cells=256
+//	udmkde -in data.csv -dim v -eval 'prune=1e-6,accuracy=approx(1e-6)'
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"udm/internal/dataset"
@@ -24,62 +27,63 @@ import (
 	"udm/internal/eval"
 	"udm/internal/evalopt"
 	"udm/internal/kde"
-	"udm/internal/kernel"
 	"udm/internal/microcluster"
 	"udm/internal/rng"
 )
 
+// errUsage marks a command-line mistake whose message and usage text
+// the flag set has already printed.
+var errUsage = errors.New("usage")
+
 func main() {
-	var (
-		in      = flag.String("in", "", "input CSV (required)")
-		dimName = flag.String("dim", "", "dimension to evaluate (required)")
-		dim2    = flag.String("dim2", "", "second dimension: renders a 2-D ASCII heat map")
-		grid    = flag.Int("grid", 60, "grid points per axis")
-		q       = flag.Int("q", 0, "compress into q micro-clusters first (0 = exact point kernels)")
-		cv      = flag.Bool("cv", false, "select bandwidths by leave-one-out likelihood instead of Silverman")
-		noAdj   = flag.Bool("no-adjust", false, "ignore error columns")
-		plot    = flag.Bool("plot", false, "render the 1-D curve as an ASCII chart instead of values")
-		seed    = flag.Int64("seed", 1, "random seed (micro-cluster ordering)")
-		prune   = flag.Float64("prune", 0, "far-field truncation tolerance (relative error bound; 0 = exact)")
-		approx  = flag.Float64("approx", 0, "bounded-error fast-exp budget epsilon (0 = exact; Gaussian kernel only)")
-		backend = flag.String("backend", "", "density backend: exact (default), grid or micro")
-		evalStr = flag.String("eval", "", "unified evaluation options, e.g. backend=grid,epsilon=0.05 (see evalopt grammar; individual flags fill unset keys)")
-	)
-	flag.Parse()
-	if *in == "" || *dimName == "" {
-		flag.Usage()
+	err := run(os.Args[1:], os.Stdout)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
 		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "udmkde:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, evaluates the requested density and writes it to
+// stdout; progress notes go to stderr.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("udmkde", flag.ContinueOnError)
+	var (
+		in      = fs.String("in", "", "input CSV (required)")
+		dimName = fs.String("dim", "", "dimension to evaluate (required)")
+		dim2    = fs.String("dim2", "", "second dimension: renders a 2-D ASCII heat map")
+		grid    = fs.Int("grid", 60, "grid points per axis")
+		q       = fs.Int("q", 0, "compress into q micro-clusters first (0 = exact point kernels)")
+		cv      = fs.Bool("cv", false, "select bandwidths by leave-one-out likelihood instead of Silverman")
+		noAdj   = fs.Bool("no-adjust", false, "ignore error columns")
+		plot    = fs.Bool("plot", false, "render the 1-D curve as an ASCII chart instead of values")
+		evalStr = fs.String("eval", "", "evaluation options, e.g. micro, backend=grid,epsilon=0.05 or prune=1e-6,accuracy=approx(1e-6),seed=7 (evalopt grammar)")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
+	if *in == "" || *dimName == "" {
+		fs.Usage()
+		return fmt.Errorf("%w: -in and -dim are required", errUsage)
 	}
 	ev, err := evalopt.Parse(*evalStr)
 	if err != nil {
-		fatal(err)
-	}
-	if *backend != "" {
-		bk, err := evalopt.ParseBackend(*backend)
-		if err != nil {
-			fatal(err)
-		}
-		ev.Backend = bk
-	}
-	// The legacy stand-alone flags fill in whatever the -eval string left
-	// unset, so existing invocations keep their exact meaning.
-	if ev.Prune == 0 {
-		ev.Prune = *prune
-	}
-	if ev.Accuracy.IsExact() && *approx > 0 {
-		ev.Accuracy = kernel.Approx(*approx)
-	}
-	if ev.Seed == 0 {
-		ev.Seed = *seed
+		return err
 	}
 
 	ds, err := dataset.LoadCSV(*in)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	j, err := ds.ColumnIndex(*dimName)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	adjust := !*noAdj && ds.HasErrors()
 
@@ -87,7 +91,7 @@ func main() {
 	if *cv {
 		h, err := kde.CVBandwidths(ds, adjust, nil)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		opt.Bandwidths = h
 		fmt.Fprintf(os.Stderr, "udmkde: CV bandwidths %v\n", h)
@@ -104,19 +108,18 @@ func main() {
 		s := microcluster.Build(ds, *q, rng.New(ev.EffSeed()))
 		est, info, err = density.FromSummarizer(s, opt)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "udmkde: %d rows compressed into %d micro-clusters\n", ds.Len(), s.Len())
 	} else {
 		est, info, err = density.New(ds, opt)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if !info.Exact {
 		fmt.Fprintf(os.Stderr, "udmkde: backend %s\n", info)
 	}
-	bopt := kde.BatchOptions{Workers: 1, Eval: ev}
 
 	lo, hi := ds.MinMax()
 	span := func(j int) (float64, float64) {
@@ -130,7 +133,7 @@ func main() {
 	if *dim2 != "" {
 		j2, err := ds.ColumnIndex(*dim2)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		loX, hiX := span(j)
 		loY, hiY := span(j2)
@@ -138,9 +141,9 @@ func main() {
 		if cells > 120 {
 			cells = 120
 		}
-		g, err := kde.Grid2DOpts(est, j, j2, loX, hiX, loY, hiY, cells, cells/2, bopt)
+		g, err := kde.Grid2DOpts(est, j, j2, loX, hiX, loY, hiY, cells, cells/2, kde.BatchOptions{})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		var peak float64
 		for _, row := range g {
@@ -151,42 +154,35 @@ func main() {
 			}
 		}
 		shades := []byte(" .:-=+*#@")
-		fmt.Printf("joint density of %s (x) and %s (y); darker = denser\n", *dimName, *dim2)
+		fmt.Fprintf(stdout, "joint density of %s (x) and %s (y); darker = denser\n", *dimName, *dim2)
 		for iy := len(g) - 1; iy >= 0; iy-- {
 			line := make([]byte, len(g[iy]))
 			for ix, v := range g[iy] {
 				line[ix] = shades[int(v/peak*float64(len(shades)-1))]
 			}
-			fmt.Printf("  %s\n", line)
+			fmt.Fprintf(stdout, "  %s\n", line)
 		}
-		return
+		return nil
 	}
 
 	loX, hiX := span(j)
-	xs, ys, err := kde.Grid1DOpts(est, j, loX, hiX, *grid, bopt)
+	xs, ys, err := kde.Grid1DOpts(est, j, loX, hiX, *grid, kde.BatchOptions{})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *plot {
 		tab, err := eval.NewTable(
 			fmt.Sprintf("density of %s", *dimName), *dimName,
 			eval.Series{Name: "f(x)", X: xs, Y: ys})
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		if err := tab.PlotASCII(os.Stdout, 72, 20); err != nil {
-			fatal(err)
-		}
-		return
+		return tab.PlotASCII(stdout, 72, 20)
 	}
-	fmt.Printf("# x f(x)   [mass over grid: %.4f]\n",
+	fmt.Fprintf(stdout, "# x f(x)   [mass over grid: %.4f]\n",
 		kde.Mass1D(est, j, loX, hiX, *grid))
 	for i := range xs {
-		fmt.Printf("%g %g\n", xs[i], ys[i])
+		fmt.Fprintf(stdout, "%g %g\n", xs[i], ys[i])
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "udmkde:", err)
-	os.Exit(1)
+	return nil
 }

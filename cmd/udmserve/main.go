@@ -132,8 +132,7 @@ func main() {
 		addr         = flag.String("addr", ":8080", "listen address")
 		threshold    = flag.Float64("a", 0, "classifier accuracy threshold for transform models (0 = default)")
 		errorAdjust  = flag.Bool("error-adjust", true, "use the error-adjusted kernel for density and outliers")
-		prune        = flag.Float64("prune", 0, "far-field truncation tolerance for batched densities (relative error bound; 0 = no pruning)")
-		evalStr      = flag.String("eval", "", "unified evaluation defaults for every model, e.g. prune=0.01,epsilon=0.05,seed=7 (evalopt grammar; requests still pick backend/accuracy per call)")
+		evalStr      = flag.String("eval", "", "evaluation policy for every model, e.g. prune=0.01,epsilon=0.05 (evalopt grammar; requests pick backend and accuracy per call, so neither key is accepted here)")
 		maxBatch     = flag.Int("max-batch", 0, "max coalesced requests per batched call (0 = default 64)")
 		timeout      = flag.Duration("timeout", 0, "per-request timeout (0 = default 30s)")
 		maxInflight  = flag.Int("max-inflight", 0, "max concurrently admitted requests before 429 shedding (0 = default 256)")
@@ -165,16 +164,11 @@ func main() {
 		os.Exit(2)
 	}
 
+	// The epsilon and cells keys configure the grid backend that
+	// requests select per call.
 	ev, err := evalopt.Parse(*evalStr)
 	if err != nil {
 		fatal(err)
-	}
-	// The stand-alone -prune flag fills in when the -eval string left it
-	// unset, so existing invocations keep their meaning. The epsilon and
-	// cells defaults parsed here configure the grid backend that
-	// requests select per call.
-	if ev.Prune == 0 {
-		ev.Prune = *prune
 	}
 	kdeOpt := kde.Options{ErrorAdjust: *errorAdjust, Eval: ev}
 	reg := server.NewRegistry()

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"udm/internal/datagen"
+	"udm/internal/evalopt"
 	"udm/internal/kde"
 	"udm/internal/kernel"
 	"udm/internal/microcluster"
@@ -200,7 +201,7 @@ func rollupCases(t testing.TB, p rollupProfile) []rollupCase {
 	capped := p.base
 	capped.MaxSubspaces, capped.Threshold = 2, 0.55
 	approx := p.base
-	approx.KDE = kde.Options{ErrorAdjust: true, Prune: 1e-2, Accuracy: kernel.Approx(1e-3)}
+	approx.KDE = kde.Options{ErrorAdjust: true, Eval: evalopt.Options{Prune: 1e-2, Accuracy: kernel.Approx(1e-3)}}
 	strict := p.base
 	strict.MaxSubspaceSize, strict.Threshold = -1, 0.85
 	type variant struct {

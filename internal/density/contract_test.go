@@ -3,6 +3,7 @@ package density
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"udm/internal/datagen"
@@ -330,7 +331,7 @@ func TestWithAccuracyLadder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := kde.DensityBatchOpts(ab, sc.ds.X, nil, kde.BatchOptions{Workers: 2, Eval: evalopt.Options{Accuracy: acc}})
+		got, err := kde.DensityBatchOpts(ab, sc.ds.X, nil, kde.BatchOptions{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,6 +342,129 @@ func TestWithAccuracyLadder(t *testing.T) {
 			if rel := math.Abs(got[i]-ref[i]) / ref[i]; rel > 1e-6 {
 				t.Fatalf("%q under %v: rel err %g > 1e-6", bk, acc, rel)
 			}
+		}
+	}
+}
+
+// bandwidthFor is the per-dimension bandwidth accessor both kde
+// estimator types expose.
+type bandwidthFor interface{ BandwidthFor(j int) float64 }
+
+// TestGridBandwidthsMatchExactRung: over rows and over a summary, under
+// the Silverman rule and under explicit bandwidths, the grid rung
+// smooths with exactly the exact rung's bandwidths — the ones its
+// advertised bound is stated against. Malformed explicit bandwidths
+// fail with the sentinel kde uses for them.
+func TestGridBandwidthsMatchExactRung(t *testing.T) {
+	sc := scenarios(t, 300)[0]
+	s := microcluster.Build(sc.ds, 50, rng.New(5))
+	d := sc.ds.Dims()
+	build := map[string]func(kde.Options) (kde.Estimator, error){
+		"rows": func(opt kde.Options) (kde.Estimator, error) {
+			est, _, err := New(sc.ds, opt)
+			return est, err
+		},
+		"summary": func(opt kde.Options) (kde.Estimator, error) {
+			est, _, err := FromSummarizer(s, opt)
+			return est, err
+		},
+	}
+	for input, newRung := range build {
+		for rule, bw := range map[string][]float64{"silverman": nil, "explicit": {0.4, 0.7}} {
+			exact, err := newRung(kde.Options{ErrorAdjust: true, Bandwidths: bw})
+			if err != nil {
+				t.Fatalf("%s/%s: exact: %v", input, rule, err)
+			}
+			grid, err := newRung(kde.Options{ErrorAdjust: true, Bandwidths: bw,
+				Eval: evalopt.Options{Backend: evalopt.BackendGrid}})
+			if err != nil {
+				t.Fatalf("%s/%s: grid: %v", input, rule, err)
+			}
+			for j := 0; j < d; j++ {
+				want := exact.(bandwidthFor).BandwidthFor(j)
+				if got := grid.(bandwidthFor).BandwidthFor(j); got != want {
+					t.Errorf("%s/%s: grid h[%d] = %v, exact rung %v", input, rule, j, got, want)
+				}
+			}
+		}
+		for _, c := range []struct {
+			bw   []float64
+			want error
+		}{
+			{[]float64{0.4}, udmerr.ErrDimensionMismatch},
+			{[]float64{0.4, 0.7, 0.1}, udmerr.ErrDimensionMismatch},
+			{[]float64{0.4, 0}, udmerr.ErrBadOption},
+			{[]float64{-0.4, 0.7}, udmerr.ErrBadOption},
+			{[]float64{math.NaN(), 0.7}, udmerr.ErrBadOption},
+			{[]float64{0.4, math.Inf(1)}, udmerr.ErrBadOption},
+		} {
+			_, err := newRung(kde.Options{ErrorAdjust: true, Bandwidths: c.bw,
+				Eval: evalopt.Options{Backend: evalopt.BackendGrid}})
+			if !errors.Is(err, c.want) {
+				t.Errorf("%s: grid with bandwidths %v: error %v, want %v", input, c.bw, err, c.want)
+			}
+		}
+	}
+}
+
+// rungPrint is what a build under some evaluation options observably
+// is: its self-description, its micro-cluster count, and its densities.
+type rungPrint struct {
+	info      Info
+	clusters  int
+	densities []float64
+}
+
+// TestEveryGrammarKeyReachesAConstructor: each key evalopt.Parse
+// accepts changes what density.New builds, so no key is parsed and then
+// ignored. The rows are checked against the grammar's own key list, so
+// a key added to the grammar without a reader has no row that can pass;
+// a row naming a key outside the grammar fails to parse.
+func TestEveryGrammarKeyReachesAConstructor(t *testing.T) {
+	sc := scenarios(t, 400)[0]
+	fingerprint := func(eval string) rungPrint {
+		t.Helper()
+		ev, err := evalopt.Parse(eval)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", eval, err)
+		}
+		est, info, err := New(sc.ds, kde.Options{ErrorAdjust: true, Eval: ev})
+		if err != nil {
+			t.Fatalf("New(%q): %v", eval, err)
+		}
+		p := rungPrint{info: info}
+		if c, ok := est.(*kde.ClusterKDE); ok {
+			p.clusters = c.Clusters()
+		}
+		if p.densities, err = kde.DensityBatchOpts(est, sc.ds.X[:40], nil, kde.BatchOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	rows := []struct{ key, base, value string }{
+		{"backend", "", "micro"},
+		{"epsilon", "grid", "0.02"},
+		{"eps", "grid", "0.02"},
+		{"cells", "grid", "7"},
+		{"prune", "", "1e-3"},
+		{"accuracy", "", "approx(1e-3)"},
+		{"q", "micro", "20"},
+		{"seed", "micro", "9"},
+	}
+	covered := map[string]bool{}
+	for _, r := range rows {
+		covered[r.key] = true
+		with := r.key + "=" + r.value
+		if r.base != "" {
+			with = r.base + "," + with
+		}
+		if without, got := fingerprint(r.base), fingerprint(with); reflect.DeepEqual(without, got) {
+			t.Errorf("key %q: %q builds the same rung as %q (%+v)", r.key, with, r.base, got.info)
+		}
+	}
+	for _, k := range evalopt.Keys() {
+		if !covered[k] {
+			t.Errorf("grammar key %q has no row: show that a constructor reads it", k)
 		}
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"udm/internal/dataset"
 	"udm/internal/evalopt"
 	"udm/internal/kde"
-	"udm/internal/kernel"
 	"udm/internal/microcluster"
 	"udm/internal/rng"
 	"udm/internal/udmerr"
@@ -122,7 +121,7 @@ func FromSummarizer(s *microcluster.Summarizer, opt kde.Options) (*kde.ClusterKD
 // default configuration, a deterministic relative bound when pruning
 // or the kernel surrogate is enabled.
 func exactInfo(opt kde.Options) Info {
-	eps := effPrune(opt) + effAccuracy(opt).Epsilon()
+	eps := opt.Eval.Prune + opt.Eval.Accuracy.Epsilon()
 	info := Info{Backend: evalopt.BackendExact, Exact: eps == 0, Epsilon: eps}
 	if info.Exact {
 		info.Contract = "bit-identical to the reference per-query evaluation"
@@ -135,7 +134,7 @@ func exactInfo(opt kde.Options) Info {
 // microInfo describes the micro rung: exact over its summary, with a
 // data-dependent (unbounded a priori) summarization deviation.
 func microInfo(opt kde.Options) Info {
-	eps := effPrune(opt) + effAccuracy(opt).Epsilon()
+	eps := opt.Eval.Prune + opt.Eval.Accuracy.Epsilon()
 	return Info{
 		Backend: evalopt.BackendMicro,
 		Exact:   false,
@@ -143,20 +142,4 @@ func microInfo(opt kde.Options) Info {
 		Contract: "exact over its micro-cluster summary (Definition 1 additivity); " +
 			"summary-vs-raw deviation is data dependent",
 	}
-}
-
-// effPrune and effAccuracy resolve the engine knobs the way
-// kde.Options normalization does: Eval wins when set.
-func effPrune(opt kde.Options) float64 {
-	if opt.Eval.Prune != 0 {
-		return opt.Eval.Prune
-	}
-	return opt.Prune
-}
-
-func effAccuracy(opt kde.Options) kernel.AccuracyMode {
-	if !opt.Eval.Accuracy.IsExact() {
-		return opt.Eval.Accuracy
-	}
-	return opt.Accuracy
 }

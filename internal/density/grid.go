@@ -40,17 +40,14 @@ import (
 
 // newGridFromRows bins raw rows into cells.
 func newGridFromRows(ds *dataset.Dataset, opt kde.Options) (*kde.ClusterKDE, Info, error) {
-	if ds.Len() == 0 {
-		return nil, Info{}, fmt.Errorf("density: empty dataset: %w", udmerr.ErrUntrained)
-	}
-	d := ds.Dims()
 	// Bandwidths must match the exact estimator the bound is stated
-	// against; NewPoint computes them per column, so mirror it here and
-	// then pass them explicitly so sizing and evaluation agree.
-	h, err := pointBandwidths(ds, opt)
+	// against, and are passed on explicitly so sizing and evaluation
+	// agree.
+	h, err := kde.RowBandwidths(ds, opt)
 	if err != nil {
 		return nil, Info{}, err
 	}
+	d := ds.Dims()
 	lo, hi := ds.MinMax()
 	geom, err := gridGeometry(opt.Eval, h, lo, hi)
 	if err != nil {
@@ -77,14 +74,11 @@ func newGridFromRows(ds *dataset.Dataset, opt kde.Options) (*kde.ClusterKDE, Inf
 // centroid, merging their additive statistics — coarser cells over an
 // already-compressed input.
 func newGridFromSummarizer(s *microcluster.Summarizer, opt kde.Options) (*kde.ClusterKDE, Info, error) {
-	if s.Len() == 0 {
-		return nil, Info{}, fmt.Errorf("density: empty summarizer: %w", udmerr.ErrUntrained)
-	}
-	d := s.Dims()
-	h, err := clusterBandwidths(s, opt)
+	h, err := kde.SummaryBandwidths(s, opt)
 	if err != nil {
 		return nil, Info{}, err
 	}
+	d := s.Dims()
 	lo := make([]float64, d)
 	hi := make([]float64, d)
 	for j := 0; j < d; j++ {
@@ -138,7 +132,7 @@ func finishGrid(feats map[uint64]*microcluster.Feature, h []float64, geom gridGe
 	if err != nil {
 		return nil, Info{}, err
 	}
-	eps := geom.epsilon + effPrune(opt) + effAccuracy(opt).Epsilon()
+	eps := geom.epsilon + opt.Eval.Prune + opt.Eval.Accuracy.Epsilon()
 	return est, Info{
 		Backend: evalopt.BackendGrid,
 		Epsilon: eps,
@@ -215,52 +209,4 @@ func (g gridGeom) cell(x []float64) uint64 {
 		key += uint64(c) * g.stride[j]
 	}
 	return key
-}
-
-// pointBandwidths mirrors kde.NewPoint's bandwidth resolution:
-// explicit Options.Bandwidths, otherwise the rule per column.
-func pointBandwidths(ds *dataset.Dataset, opt kde.Options) ([]float64, error) {
-	d := ds.Dims()
-	if opt.Bandwidths != nil {
-		return checkExplicit(opt.Bandwidths, d)
-	}
-	h := make([]float64, d)
-	col := make([]float64, ds.Len())
-	for j := 0; j < d; j++ {
-		for i := range ds.X {
-			col[i] = ds.X[i][j]
-		}
-		h[j] = opt.Bandwidth.FromValues(col, d)
-	}
-	return h, nil
-}
-
-// clusterBandwidths mirrors kde.NewCluster's bandwidth resolution over
-// a summary: explicit Options.Bandwidths, otherwise the rule from the
-// merged per-dimension σ and total count.
-func clusterBandwidths(s *microcluster.Summarizer, opt kde.Options) ([]float64, error) {
-	d := s.Dims()
-	if opt.Bandwidths != nil {
-		return checkExplicit(opt.Bandwidths, d)
-	}
-	sig := s.Sigmas()
-	n := s.Count()
-	h := make([]float64, d)
-	for j := 0; j < d; j++ {
-		h[j] = opt.Bandwidth.FromSigma(sig[j], n, d)
-	}
-	return h, nil
-}
-
-// checkExplicit validates explicit bandwidths the way kde does.
-func checkExplicit(bw []float64, d int) ([]float64, error) {
-	if len(bw) != d {
-		return nil, fmt.Errorf("density: %d explicit bandwidths for %d dimensions: %w", len(bw), d, udmerr.ErrDimensionMismatch)
-	}
-	for j, v := range bw {
-		if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("density: explicit bandwidth[%d] = %v must be positive and finite: %w", j, v, udmerr.ErrBadOption)
-		}
-	}
-	return bw, nil
 }

@@ -1,25 +1,19 @@
-// Package evalopt holds the unified evaluation options shared by every
-// layer that evaluates densities: the kde estimators, the density
-// backend ladder (internal/density), the udm facade, and the two
-// user-facing surfaces (cmd/udmkde flags and cmd/udmserve's wire API).
+// Package evalopt holds the evaluation options shared by every layer
+// that evaluates densities: the kde estimators, the density backend
+// ladder (internal/density), the udm facade, and the two user-facing
+// surfaces (cmd/udmkde's -eval flag and cmd/udmserve's -eval flag).
+// Options is the one spelling of each knob, with one textual form, so a
+// configuration can be logged, compared and round-tripped.
 //
-// Before this package the evaluation knobs were scattered —
-// kde.Options.Prune, kernel.AccuracyMode on kde.Options.Accuracy, a
-// positional workers int on every batch call, and nothing at all for
-// backend selection. Options gathers them into one value with one
-// textual form, so the CLI flag string and the HTTP request body accept
-// identical grammars and a configuration can be logged, compared and
-// round-tripped.
-//
-// The package sits below internal/kde on purpose: kde embeds Options
-// into its own Options so estimator construction and the batch APIs
-// consume the same value the facade and serving layer parse.
+// The package sits below internal/kde on purpose: kde.Options carries
+// an Options in its Eval field, so estimator construction consumes the
+// same value the CLIs parse.
 package evalopt
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -67,10 +61,9 @@ func ParseBackend(s string) (Backend, error) {
 	return BackendDefault, fmt.Errorf("evalopt: unknown backend %q (want exact, grid or micro): %w", s, udmerr.ErrBadOption)
 }
 
-// Options is the unified set of evaluation knobs. The zero value is
-// the exact default: exact backend, no pruning, exact kernels, all
-// cores. Every field has a documented zero-value meaning so an Options
-// can be merged over the legacy per-field knobs it replaces.
+// Options is the set of evaluation knobs. The zero value is the exact
+// default: exact backend, no pruning, exact kernels. Every field has a
+// documented zero-value meaning.
 type Options struct {
 	// Backend selects the density estimator rung. Empty means exact.
 	Backend Backend
@@ -78,15 +71,18 @@ type Options struct {
 	// its cells so its advertised bound is ≤ Epsilon. 0 means
 	// DefaultEpsilon. Exact and micro backends ignore it.
 	Epsilon float64
-	// Prune is the far-field truncation tolerance of the exact engine
-	// (kde.Options.Prune): batch relative error ≤ Prune. 0 disables.
+	// Prune is the far-field truncation tolerance of the kde batch
+	// engine: subtrees of kernel centers whose total possible
+	// contribution is below Prune times the density are skipped, so
+	// every batch result is within relative error Prune. 0 disables,
+	// keeping batches bit-identical to the per-query methods, which
+	// never prune. Requires the Gaussian kernel.
 	Prune float64
-	// Accuracy selects exact kernel evaluation or the bounded-error
-	// fast-exponential surrogate on batch paths (kde.Options.Accuracy).
-	// The zero value is exact.
+	// Accuracy selects exact kernel evaluation (the zero value) or the
+	// bounded-error fast-exponential surrogate (kernel.Approx(ε)) on
+	// the kde batch paths; the per-query methods stay exact. Requires
+	// the Gaussian kernel when non-exact.
 	Accuracy kernel.AccuracyMode
-	// Workers caps batch fan-out (≤ 0 = GOMAXPROCS, 1 = serial).
-	Workers int
 	// Seed drives the micro backend's summarization order. 0 means
 	// seed 1.
 	Seed int64
@@ -188,9 +184,6 @@ func (o Options) String() string {
 	if !o.Accuracy.IsExact() {
 		add("accuracy", o.Accuracy.String())
 	}
-	if o.Workers != 0 {
-		add("workers", strconv.Itoa(o.Workers))
-	}
 	if o.Seed != 0 {
 		add("seed", strconv.FormatInt(o.Seed, 10))
 	}
@@ -203,14 +196,13 @@ func (o Options) String() string {
 	return strings.Join(parts, ",")
 }
 
-// Parse reads the textual form shared by the udmkde -eval flag and the
-// udmserve wire API: comma-separated key=value pairs with keys
+// Parse reads the textual form of the udmkde and udmserve -eval flags:
+// comma-separated key=value pairs with keys
 //
 //	backend   exact | grid | micro
-//	epsilon   grid-backend relative-error budget (> 0)
+//	epsilon   grid-backend relative-error budget (> 0; alias eps)
 //	prune     exact-engine far-field truncation tolerance (≥ 0)
 //	accuracy  exact | approx | approx(ε)  (kernel surrogate mode)
-//	workers   batch fan-out cap (integer; ≤ 0 = all cores)
 //	seed      micro-backend summarization seed (integer)
 //	cells     grid backend per-dimension resolution (positive integer)
 //	q         micro backend cluster budget (positive integer)
@@ -253,8 +245,6 @@ func Parse(s string) (Options, error) {
 			o.Prune, err = parseFloat(key, val)
 		case "accuracy":
 			o.Accuracy, err = parseAccuracy(val)
-		case "workers":
-			o.Workers, err = parseInt(key, val)
 		case "seed":
 			var v int64
 			v, err = strconv.ParseInt(val, 10, 64)
@@ -267,7 +257,7 @@ func Parse(s string) (Options, error) {
 		case "q":
 			o.MicroClusters, err = parseInt(key, val)
 		default:
-			return Options{}, fmt.Errorf("evalopt: unknown key %q (known: %s): %w", key, knownKeys(), udmerr.ErrBadOption)
+			return Options{}, fmt.Errorf("evalopt: unknown key %q (known: %s): %w", key, strings.Join(keys, ", "), udmerr.ErrBadOption)
 		}
 		if err != nil {
 			return Options{}, err
@@ -318,8 +308,8 @@ func parseAccuracy(val string) (kernel.AccuracyMode, error) {
 	return m, nil
 }
 
-func knownKeys() string {
-	keys := []string{"backend", "epsilon", "prune", "accuracy", "workers", "seed", "cells", "q"}
-	sort.Strings(keys)
-	return strings.Join(keys, ", ")
-}
+// keys lists every key Parse accepts, aliases included, sorted.
+var keys = []string{"accuracy", "backend", "cells", "eps", "epsilon", "prune", "q", "seed"}
+
+// Keys returns every key Parse accepts, aliases included, sorted.
+func Keys() []string { return slices.Clone(keys) }

@@ -49,10 +49,7 @@ func TestParseGrammar(t *testing.T) {
 		{"grid", Options{Backend: BackendGrid}}, // bare-name shorthand
 		{"backend=grid,cells=64", Options{Backend: BackendGrid, GridCells: 64}},
 		{"backend=micro,q=200,seed=7", Options{Backend: BackendMicro, MicroClusters: 200, Seed: 7}},
-		{
-			"backend=grid,epsilon=0.05,workers=4",
-			Options{Backend: BackendGrid, Epsilon: 0.05, Workers: 4},
-		},
+		{"backend=grid,epsilon=0.05", Options{Backend: BackendGrid, Epsilon: 0.05}},
 		{"eps=0.2", Options{Epsilon: 0.2}}, // eps alias
 		{"prune=1e-3", Options{Prune: 1e-3}},
 		{"accuracy=exact", Options{}},
@@ -60,7 +57,6 @@ func TestParseGrammar(t *testing.T) {
 		{"accuracy=approx(1e-6)", Options{Accuracy: kernel.Approx(1e-6)}},
 		{" backend = grid , epsilon = 0.1 ", Options{Backend: BackendGrid, Epsilon: 0.1}},
 		{"backend=grid,backend=micro", Options{Backend: BackendMicro}}, // later key wins
-		{"workers=-1", Options{Workers: -1}},                           // ≤0 = all cores, legal
 	}
 	for _, c := range cases {
 		got, err := Parse(c.in)
@@ -86,7 +82,8 @@ func TestParseRejects(t *testing.T) {
 		"accuracy=approx(",       // malformed accuracy
 		"accuracy=approx(-1)",    // invalid budget
 		"accuracy=sloppy",        // unknown mode
-		"workers=three",          // malformed int
+		"cells=three",            // malformed int
+		"workers=2",              // the removed fan-out key
 		"seed=1.5",               // malformed int64
 		"cells=-2",               // out of domain
 		"cells=1000000",          // above cap
@@ -112,7 +109,7 @@ func TestStringRoundTrip(t *testing.T) {
 		{},
 		{Backend: BackendMicro},
 		{Backend: BackendGrid, Epsilon: 0.05},
-		{Backend: BackendGrid, GridCells: 64, Workers: 8},
+		{Backend: BackendGrid, GridCells: 64},
 		{Backend: BackendMicro, MicroClusters: 140, Seed: 42},
 		{Prune: 1e-3, Accuracy: kernel.Approx(1e-6)},
 	}
@@ -153,7 +150,7 @@ func TestValidate(t *testing.T) {
 		{},
 		{Backend: BackendExact},
 		{Backend: BackendGrid, Epsilon: 0.1},
-		{Prune: 0.5, Workers: -3},
+		{Prune: 0.5},
 	}
 	for _, o := range good {
 		if err := o.Validate(); err != nil {

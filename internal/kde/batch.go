@@ -11,7 +11,7 @@ import (
 
 // This file holds the batch-evaluation engines. Only the
 // BatchOptions-taking forms in batchopts.go call them, after resolving
-// the context (never nil) and the worker count.
+// the context (never nil).
 
 // QEstimator is an Estimator that can also evaluate the expected
 // density at an uncertain query point (a query with its own per-

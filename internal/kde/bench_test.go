@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"udm/internal/dataset"
+	"udm/internal/evalopt"
 	"udm/internal/kernel"
 	"udm/internal/microcluster"
 	"udm/internal/rng"
@@ -119,8 +120,8 @@ func BenchmarkDensityBatchPruned(b *testing.B) {
 		opt  Options
 	}{
 		{"mode=exact", Options{ErrorAdjust: true, Bandwidths: []float64{0.35, 0.35}}},
-		{"mode=pruned", Options{ErrorAdjust: true, Bandwidths: []float64{0.35, 0.35}, Prune: 1e-6}},
-		{"mode=approx", Options{ErrorAdjust: true, Bandwidths: []float64{0.35, 0.35}, Prune: 1e-6, Accuracy: kernel.Approx(1e-6)}},
+		{"mode=pruned", Options{ErrorAdjust: true, Bandwidths: []float64{0.35, 0.35}, Eval: evalopt.Options{Prune: 1e-6}}},
+		{"mode=approx", Options{ErrorAdjust: true, Bandwidths: []float64{0.35, 0.35}, Eval: evalopt.Options{Prune: 1e-6, Accuracy: kernel.Approx(1e-6)}}},
 	}
 	for _, m := range modes {
 		est, err := NewPoint(d, m.opt)

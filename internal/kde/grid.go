@@ -6,9 +6,9 @@ import "fmt"
 // evenly spaced grid of n+1 points spanning [lo, hi]. The returned xs
 // are the grid coordinates and ys the densities. The query vector's
 // other coordinates are irrelevant because the subspace {j} ignores
-// them. Evaluation goes through DensityBatchOpts, so the whole unified
-// configuration applies: a Gaussian estimator's SoA engine with its
-// Prune / Accuracy settings (plus any opt.Eval.Accuracy override) and
+// them. Evaluation goes through DensityBatchOpts, so the estimator's
+// whole evaluation configuration applies — a Gaussian estimator's SoA
+// engine with its Eval.Prune and Eval.Accuracy settings — along with
 // opt's context and worker fan-out. In the default exact configuration
 // the values are bit-identical to per-point DensitySub calls.
 func Grid1DOpts(e Estimator, j int, lo, hi float64, n int, opt BatchOptions) (xs, ys []float64, err error) {

@@ -55,61 +55,30 @@ type Options struct {
 	// parameter per dimension and overrides the Bandwidth rule — e.g.
 	// the output of CVBandwidths. All entries must be positive.
 	Bandwidths []float64
-	// Prune, when positive, enables far-field truncation on the batch
-	// density paths: subtrees of kernel centers whose total possible
-	// contribution is below Prune times the density are skipped, so the
-	// relative error of every batch result is at most Prune. Zero (the
-	// default) disables pruning and keeps batches bit-identical to the
-	// per-query methods. The per-query methods (Density, DensitySub,
-	// DensityQ, leave-one-out) always stay exact regardless of Prune.
-	// Requires the Gaussian kernel.
-	Prune float64
-	// Accuracy selects exact kernel evaluation (the zero value) or the
-	// bounded-error fast-exponential surrogate (kernel.Approx(ε)) on
-	// the batch density paths. Like Prune, it never affects the
-	// per-query methods. Requires the Gaussian kernel when non-exact.
-	Accuracy kernel.AccuracyMode
-	// Eval is the unified evaluation configuration (one value parseable
-	// from the shared CLI/wire grammar). At construction its Prune and
-	// Accuracy fields, when set, take precedence over the legacy
-	// stand-alone fields above. Backend and the approximate-backend
-	// knobs (Epsilon, sizing) are consumed one layer up by
-	// internal/density — this package always builds the exact engine.
+	// Eval is the evaluation configuration. This package reads its
+	// Prune and Accuracy fields, which shape the batch engine; Backend
+	// and the approximate-backend knobs (Epsilon, sizing, Seed) are
+	// consumed one layer up by internal/density — this package always
+	// builds the exact engine.
 	Eval evalopt.Options
 }
 
-// normalized folds Eval into the legacy stand-alone fields it
-// supersedes, validating it first. Constructors call this before
-// validate so both spellings configure the same engine.
-func (o Options) normalized() (Options, error) {
-	if err := o.Eval.Validate(); err != nil {
-		return o, err
-	}
-	if o.Eval.Prune != 0 {
-		o.Prune = o.Eval.Prune
-	}
-	if !o.Eval.Accuracy.IsExact() {
-		o.Accuracy = o.Eval.Accuracy
-	}
-	return o, nil
-}
-
+// validate checks Eval against its domains, then the rules that tie
+// options to the kernel family: error adjustment, pruning and the
+// approximate accuracy are defined for the Gaussian kernel only.
 func (o Options) validate() error {
-	if o.ErrorAdjust && o.Kernel != kernel.Gaussian {
+	if err := o.Eval.Validate(); err != nil {
+		return err
+	}
+	if o.Kernel == kernel.Gaussian {
+		return nil
+	}
+	switch {
+	case o.ErrorAdjust:
 		return fmt.Errorf("kde: error adjustment requires the Gaussian kernel, got %v: %w", o.Kernel, udmerr.ErrBadOption)
-	}
-	if o.Prune != 0 {
-		if !(o.Prune > 0) || math.IsInf(o.Prune, 0) {
-			return fmt.Errorf("kde: prune tolerance %v must be a finite value in [0, inf): %w", o.Prune, udmerr.ErrBadOption)
-		}
-		if o.Kernel != kernel.Gaussian {
-			return fmt.Errorf("kde: pruning requires the Gaussian kernel, got %v: %w", o.Kernel, udmerr.ErrBadOption)
-		}
-	}
-	if !o.Accuracy.Valid() {
-		return fmt.Errorf("kde: invalid accuracy %v: %w", o.Accuracy, udmerr.ErrBadOption)
-	}
-	if !o.Accuracy.IsExact() && o.Kernel != kernel.Gaussian {
+	case o.Eval.Prune != 0:
+		return fmt.Errorf("kde: pruning requires the Gaussian kernel, got %v: %w", o.Kernel, udmerr.ErrBadOption)
+	case !o.Eval.Accuracy.IsExact():
 		return fmt.Errorf("kde: approximate accuracy requires the Gaussian kernel, got %v: %w", o.Kernel, udmerr.ErrBadOption)
 	}
 	return nil
@@ -147,24 +116,10 @@ var _ Estimator = (*PointKDE)(nil)
 // Bandwidths are computed per dimension from the data using the
 // configured rule (Silverman by default, as in the paper).
 func NewPoint(ds *dataset.Dataset, opt Options) (*PointKDE, error) {
-	opt, err := opt.normalized()
-	if err != nil {
-		return nil, err
-	}
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	if ds.Len() == 0 {
-		return nil, fmt.Errorf("kde: empty dataset: %w", udmerr.ErrUntrained)
-	}
-	d := ds.Dims()
-	h, err := explicitOrRule(opt, d, func(j int) float64 {
-		col := make([]float64, ds.Len())
-		for i := range ds.X {
-			col[i] = ds.X[i][j]
-		}
-		return opt.Bandwidth.FromValues(col, d)
-	})
+	h, err := RowBandwidths(ds, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -185,28 +140,13 @@ func NewPoint(ds *dataset.Dataset, opt Options) (*PointKDE, error) {
 // copy is cheap enough for per-request use. Per-query methods stay
 // exact. Non-exact modes require the Gaussian kernel.
 func (k *PointKDE) WithAccuracy(m kernel.AccuracyMode) (*PointKDE, error) {
-	if err := accuracyFor(m, k.opt.Kernel); err != nil {
+	c := *k
+	c.opt.Eval.Accuracy = m
+	if err := c.opt.validate(); err != nil {
 		return nil, err
 	}
-	c := *k
-	c.opt.Accuracy = m
-	if k.eng != nil {
-		e := *k.eng
-		e.acc = m
-		c.eng = &e
-	}
+	c.eng = k.eng.withAccuracy(m)
 	return &c, nil
-}
-
-// accuracyFor validates a per-estimator accuracy override.
-func accuracyFor(m kernel.AccuracyMode, kt kernel.Type) error {
-	if !m.Valid() {
-		return fmt.Errorf("kde: invalid accuracy %v: %w", m, udmerr.ErrBadOption)
-	}
-	if !m.IsExact() && kt != kernel.Gaussian {
-		return fmt.Errorf("kde: approximate accuracy requires the Gaussian kernel, got %v: %w", kt, udmerr.ErrBadOption)
-	}
-	return nil
 }
 
 // Dims returns the data dimensionality.
@@ -389,26 +329,15 @@ var _ Estimator = (*ClusterKDE)(nil)
 // within-cluster variance — that spread is real data spread, not
 // measurement error — but the EF2 error statistics are ignored.
 func NewCluster(s *microcluster.Summarizer, opt Options) (*ClusterKDE, error) {
-	opt, err := opt.normalized()
-	if err != nil {
-		return nil, err
-	}
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	if s.Len() == 0 {
-		return nil, fmt.Errorf("kde: empty summarizer: %w", udmerr.ErrUntrained)
-	}
-	d := s.Dims()
-	n := s.Count()
-	sig := s.Sigmas()
-	h, err := explicitOrRule(opt, d, func(j int) float64 {
-		return opt.Bandwidth.FromSigma(sig[j], n, d)
-	})
+	h, err := SummaryBandwidths(s, opt)
 	if err != nil {
 		return nil, err
 	}
-	k := &ClusterKDE{total: float64(n), h: h, opt: opt}
+	d := s.Dims()
+	k := &ClusterKDE{total: float64(s.Count()), h: h, opt: opt}
 	for i := 0; i < s.Len(); i++ {
 		f := s.Feature(i)
 		k.cents = append(k.cents, f.Centroid(nil))
@@ -434,16 +363,12 @@ func NewCluster(s *microcluster.Summarizer, opt Options) (*ClusterKDE, error) {
 // density paths run under the given accuracy mode, sharing all data
 // with the receiver. Per-query methods stay exact.
 func (k *ClusterKDE) WithAccuracy(m kernel.AccuracyMode) (*ClusterKDE, error) {
-	if err := accuracyFor(m, k.opt.Kernel); err != nil {
+	c := *k
+	c.opt.Eval.Accuracy = m
+	if err := c.opt.validate(); err != nil {
 		return nil, err
 	}
-	c := *k
-	c.opt.Accuracy = m
-	if k.eng != nil {
-		e := *k.eng
-		e.acc = m
-		c.eng = &e
-	}
+	c.eng = k.eng.withAccuracy(m)
 	return &c, nil
 }
 
@@ -522,7 +447,39 @@ func (k *ClusterKDE) DensityQ(x, qerr []float64, dims []int) float64 {
 	return sum / k.total
 }
 
-// explicitOrRule resolves per-dimension bandwidths: explicit
+// RowBandwidths resolves the per-dimension bandwidths NewPoint uses
+// over the rows of ds: opt.Bandwidths when set (validated), otherwise
+// opt.Bandwidth's rule over each column. An empty ds wraps
+// udmerr.ErrUntrained.
+func RowBandwidths(ds *dataset.Dataset, opt Options) ([]float64, error) {
+	if ds.Len() == 0 {
+		return nil, fmt.Errorf("kde: empty dataset: %w", udmerr.ErrUntrained)
+	}
+	d := ds.Dims()
+	col := make([]float64, ds.Len())
+	return explicitOrRule(opt, d, func(j int) float64 {
+		for i := range ds.X {
+			col[i] = ds.X[i][j]
+		}
+		return opt.Bandwidth.FromValues(col, d)
+	})
+}
+
+// SummaryBandwidths resolves the per-dimension bandwidths NewCluster
+// uses over the summary s: opt.Bandwidths when set (validated),
+// otherwise opt.Bandwidth's rule from the merged per-dimension σ and
+// the total count. An empty s wraps udmerr.ErrUntrained.
+func SummaryBandwidths(s *microcluster.Summarizer, opt Options) ([]float64, error) {
+	if s.Len() == 0 {
+		return nil, fmt.Errorf("kde: empty summarizer: %w", udmerr.ErrUntrained)
+	}
+	d, n, sig := s.Dims(), s.Count(), s.Sigmas()
+	return explicitOrRule(opt, d, func(j int) float64 {
+		return opt.Bandwidth.FromSigma(sig[j], n, d)
+	})
+}
+
+// explicitOrRule resolves per-dimension bandwidths: a copy of explicit
 // opt.Bandwidths when supplied (validated), otherwise the rule via
 // fromRule.
 func explicitOrRule(opt Options, d int, fromRule func(j int) float64) ([]float64, error) {

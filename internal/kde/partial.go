@@ -82,7 +82,7 @@ func (k *ClusterKDE) PartialTermsBatch(X [][]float64, dims []int, opt BatchOptio
 	// the batch allocates twice no matter how many rows or clusters.
 	flat := make([]float64, len(X)*nc)
 	out := make([][]float64, len(X))
-	err := parallel.For(opt.ctx(), len(X), opt.workers(), func(start, end int) error {
+	err := parallel.For(opt.ctx(), len(X), opt.Workers, func(start, end int) error {
 		for i := start; i < end; i++ {
 			row := flat[i*nc : (i+1)*nc : (i+1)*nc]
 			k.PartialTerms(X[i], dims, row)

@@ -9,10 +9,10 @@ import (
 // This file implements far-field truncation for the batch density
 // paths: a depth-first walk of the k-d tree over the kernel centers
 // that discards whole subtrees whose maximum possible contribution is
-// provably below the caller's relative budget (Options.Prune). Wells &
-// Ting (arXiv:1707.00783) show this style of spatial pruning recovers
-// orders of magnitude on clustered data without giving up an error
-// guarantee.
+// provably below the caller's relative budget (Options.Eval.Prune).
+// Wells & Ting (arXiv:1707.00783) show this style of spatial pruning
+// recovers orders of magnitude on clustered data without giving up an
+// error guarantee.
 //
 // Bound derivation. For a subtree holding mass m (point count, or
 // weight sum for clusters), every per-dimension factor of every member

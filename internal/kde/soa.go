@@ -86,7 +86,7 @@ type engine struct {
 // nil) when no fast path applies (non-Gaussian kernel, or degenerate
 // bandwidths that the scalar path would reject at query time). psis may
 // be nil (no per-entry errors); wts is non-nil only for cluster
-// estimators. An error is returned only when opt.Prune > 0 and the
+// estimators. An error is returned only when opt.Eval.Prune > 0 and the
 // spatial index cannot be built (e.g. non-finite centers).
 func newEngine(opt Options, h []float64, total float64, cents, psis [][]float64, wts []float64, cluster bool) (*engine, error) {
 	if opt.Kernel != kernel.Gaussian {
@@ -103,8 +103,8 @@ func newEngine(opt Options, h []float64, total float64, cents, psis [][]float64,
 		d:     d,
 		total: total,
 		h:     h,
-		acc:   opt.Accuracy,
-		prune: opt.Prune,
+		acc:   opt.Eval.Accuracy,
+		prune: opt.Eval.Prune,
 		cols:  toCols(cents, d),
 		wts:   wts,
 	}
@@ -150,7 +150,7 @@ func newEngine(opt Options, h []float64, total float64, cents, psis [][]float64,
 		// explicit: paper modes require the ψ columns.
 		return nil, nil
 	}
-	if opt.Prune > 0 {
+	if opt.Eval.Prune > 0 {
 		if err := e.buildIndex(cents, psis, wts); err != nil {
 			return nil, err
 		}
@@ -160,6 +160,18 @@ func newEngine(opt Options, h []float64, total float64, cents, psis [][]float64,
 		return &s
 	}}
 	return e, nil
+}
+
+// withAccuracy returns a copy of e that evaluates under m, sharing
+// every column, the spatial index and the scratch pool. A nil engine
+// stays nil.
+func (e *engine) withAccuracy(m kernel.AccuracyMode) *engine {
+	if e == nil {
+		return nil
+	}
+	c := *e
+	c.acc = m
+	return &c
 }
 
 // buildIndex constructs the k-d tree, subtree aggregates, and the

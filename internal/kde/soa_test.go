@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"udm/internal/evalopt"
 	"udm/internal/kernel"
 	"udm/internal/microcluster"
 	"udm/internal/rng"
@@ -198,7 +199,7 @@ func TestPrunedWithinTolerance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tol := range prunedCases() {
-		pruned, err := NewPoint(d, Options{ErrorAdjust: true, Prune: tol})
+		pruned, err := NewPoint(d, Options{ErrorAdjust: true, Eval: evalopt.Options{Prune: tol}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +247,7 @@ func TestPrunedClusterWithinTolerance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tol := range prunedCases() {
-		pruned, err := NewCluster(s, Options{ErrorAdjust: true, Prune: tol})
+		pruned, err := NewCluster(s, Options{ErrorAdjust: true, Eval: evalopt.Options{Prune: tol}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +266,7 @@ func TestPrunedClusterWithinTolerance(t *testing.T) {
 // bound never fired.
 func TestPruningActuallyPrunes(t *testing.T) {
 	d := blobGrid(1000, 4, 0.2, 30)
-	est, err := NewPoint(d, Options{ErrorAdjust: true, Prune: 1e-6})
+	est, err := NewPoint(d, Options{ErrorAdjust: true, Eval: evalopt.Options{Prune: 1e-6}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +306,7 @@ func TestApproxDensityRelErr(t *testing.T) {
 		d := gauss2(150, 0.3+0.1*float64(seed%3), 40+seed)
 		for _, eps := range []float64{1e-3, 1e-6} {
 			for _, prune := range []float64{0, eps} {
-				opt := Options{ErrorAdjust: true, Accuracy: kernel.Approx(eps), Prune: prune}
+				opt := Options{ErrorAdjust: true, Eval: evalopt.Options{Prune: prune, Accuracy: kernel.Approx(eps)}}
 				approx, err := NewPoint(d, opt)
 				if err != nil {
 					t.Fatal(err)
@@ -404,19 +405,19 @@ func TestWithAccuracy(t *testing.T) {
 func TestOptionsValidatePruneAccuracy(t *testing.T) {
 	d := gauss2(50, 0, 60)
 	bad := []Options{
-		{Prune: -1},
-		{Prune: math.NaN()},
-		{Prune: math.Inf(1)},
-		{Prune: 1e-6, Kernel: kernel.Epanechnikov},
-		{Accuracy: kernel.Approx(-1)},
-		{Accuracy: kernel.Approx(1e-6), Kernel: kernel.Laplace},
+		{Eval: evalopt.Options{Prune: -1}},
+		{Eval: evalopt.Options{Prune: math.NaN()}},
+		{Eval: evalopt.Options{Prune: math.Inf(1)}},
+		{Eval: evalopt.Options{Prune: 1e-6}, Kernel: kernel.Epanechnikov},
+		{Eval: evalopt.Options{Accuracy: kernel.Approx(-1)}},
+		{Eval: evalopt.Options{Accuracy: kernel.Approx(1e-6)}, Kernel: kernel.Laplace},
 	}
 	for i, opt := range bad {
 		if _, err := NewPoint(d, opt); err == nil {
 			t.Errorf("case %d: invalid options accepted: %+v", i, opt)
 		}
 	}
-	if _, err := NewPoint(d, Options{Prune: 1e-6, Accuracy: kernel.Approx(1e-3)}); err != nil {
+	if _, err := NewPoint(d, Options{Eval: evalopt.Options{Prune: 1e-6, Accuracy: kernel.Approx(1e-3)}}); err != nil {
 		t.Errorf("valid pruned+approx options rejected: %v", err)
 	}
 }

@@ -76,8 +76,8 @@ func (t *FactorTable) DensitySub(dims []int) float64 {
 }
 
 // FactorTable fills t with every kernel factor of the estimator at x.
-// Prune and Accuracy never apply: the table reproduces DensitySub,
-// which ignores both.
+// Eval.Prune and Eval.Accuracy never apply: the table reproduces
+// DensitySub, which ignores both.
 func (k *PointKDE) FactorTable(x []float64, t *FactorTable) {
 	checkQuery(x, len(k.h))
 	t.reset(len(k.x), len(k.h), nil, float64(len(k.x)))
@@ -93,8 +93,8 @@ func (k *PointKDE) FactorTable(x []float64, t *FactorTable) {
 }
 
 // FactorTable fills t with every kernel factor of the estimator at x.
-// Prune and Accuracy never apply: the table reproduces DensitySub,
-// which ignores both.
+// Eval.Prune and Eval.Accuracy never apply: the table reproduces
+// DensitySub, which ignores both.
 func (k *ClusterKDE) FactorTable(x []float64, t *FactorTable) {
 	checkQuery(x, len(k.h))
 	t.reset(len(k.cents), len(k.h), k.weights, k.total)

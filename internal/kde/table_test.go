@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"udm/internal/dataset"
+	"udm/internal/evalopt"
 	"udm/internal/kernel"
 	"udm/internal/microcluster"
 	"udm/internal/rng"
@@ -87,9 +88,9 @@ func TestFactorTableBitIdenticalPoint(t *testing.T) {
 		{"normalized", Options{ErrorAdjust: true}, true},
 		{"paper", Options{ErrorAdjust: true, PaperKernel: true}, true},
 		{"epanechnikov", Options{Kernel: kernel.Epanechnikov}, false},
-		{"pruned", Options{ErrorAdjust: true, Prune: 1e-2}, true},
-		{"approx", Options{ErrorAdjust: true, Accuracy: kernel.Approx(1e-3)}, true},
-		{"paper-pruned-approx", Options{ErrorAdjust: true, PaperKernel: true, Prune: 1e-2, Accuracy: kernel.Approx(1e-3)}, true},
+		{"pruned", Options{ErrorAdjust: true, Eval: evalopt.Options{Prune: 1e-2}}, true},
+		{"approx", Options{ErrorAdjust: true, Eval: evalopt.Options{Accuracy: kernel.Approx(1e-3)}}, true},
+		{"paper-pruned-approx", Options{ErrorAdjust: true, PaperKernel: true, Eval: evalopt.Options{Prune: 1e-2, Accuracy: kernel.Approx(1e-3)}}, true},
 	} {
 		est, err := NewPoint(d, tc.opt)
 		if err != nil {
@@ -118,9 +119,9 @@ func TestFactorTableBitIdenticalCluster(t *testing.T) {
 		{"normalized", Options{ErrorAdjust: true}, true},
 		{"paper", Options{ErrorAdjust: true, PaperKernel: true}, true},
 		{"epanechnikov", Options{Kernel: kernel.Epanechnikov}, false},
-		{"pruned", Options{ErrorAdjust: true, Prune: 1e-2}, true},
-		{"approx", Options{ErrorAdjust: true, Accuracy: kernel.Approx(1e-3)}, true},
-		{"paper-pruned-approx", Options{ErrorAdjust: true, PaperKernel: true, Prune: 1e-2, Accuracy: kernel.Approx(1e-3)}, true},
+		{"pruned", Options{ErrorAdjust: true, Eval: evalopt.Options{Prune: 1e-2}}, true},
+		{"approx", Options{ErrorAdjust: true, Eval: evalopt.Options{Accuracy: kernel.Approx(1e-3)}}, true},
+		{"paper-pruned-approx", Options{ErrorAdjust: true, PaperKernel: true, Eval: evalopt.Options{Prune: 1e-2, Accuracy: kernel.Approx(1e-3)}}, true},
 	} {
 		// 200 clusters over 300 rows leaves many singletons, whose Δ is
 		// zero along every dimension without recorded error.

@@ -3,9 +3,17 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+
+	"udm/internal/core"
+	"udm/internal/evalopt"
+	"udm/internal/kde"
+	"udm/internal/kernel"
+	"udm/internal/udmerr"
 )
 
 // postDensity POSTs a density request with optional extra headers and
@@ -202,5 +210,43 @@ func TestDensityBackendCacheSegmentation(t *testing.T) {
 	}
 	if _, out := postDensity(t, liveURL, map[string]any{"point": x, "backend": "micro"}, nil); out.Cached {
 		t.Error("post-ingest micro query served a stale cached answer")
+	}
+}
+
+// TestModelConstructorsRefuseRequestKnobs: the backend and the accuracy
+// mode belong to each density request, so every model constructor
+// refuses construction options that name either one, pointing at the
+// request field instead; prune stays a construction policy.
+func TestModelConstructorsRefuseRequestKnobs(t *testing.T) {
+	tr := testTransform(t)
+	ctors := map[string]func(kde.Options) (*Model, error){
+		"transform": func(opt kde.Options) (*Model, error) {
+			return NewTransformModel("m", tr, core.ClassifierOptions{KDE: opt})
+		},
+		"summarizer": func(opt kde.Options) (*Model, error) {
+			return NewSummarizerModel("m", tr.Global(), opt)
+		},
+		"stream": func(opt kde.Options) (*Model, error) {
+			return NewStreamModel("m", testEngine(t), opt, "")
+		},
+	}
+	refused := map[string]evalopt.Options{
+		`"backend"`:  {Backend: evalopt.BackendMicro},
+		`"accuracy"`: {Accuracy: kernel.Approx(0.05)},
+	}
+	for kind, ctor := range ctors {
+		for field, ev := range refused {
+			_, err := ctor(kde.Options{ErrorAdjust: true, Eval: ev})
+			if !errors.Is(err, udmerr.ErrBadOption) {
+				t.Errorf("%s with %s set: error %v, want ErrBadOption", kind, field, err)
+				continue
+			}
+			if !strings.Contains(err.Error(), field) {
+				t.Errorf("%s with %s set: error %q does not name the request field", kind, field, err)
+			}
+		}
+		if _, err := ctor(kde.Options{ErrorAdjust: true, Eval: evalopt.Options{Prune: 0.01}}); err != nil {
+			t.Errorf("%s with prune: %v", kind, err)
+		}
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"udm/internal/kernel"
 	"udm/internal/microcluster"
 	"udm/internal/stream"
+	"udm/internal/udmerr"
 )
 
 // Kind names the artifact type behind a served model.
@@ -78,8 +79,12 @@ type Model struct {
 
 // NewTransformModel wraps a trained transform: the classifier serves
 // /classify and a ClusterKDE over the global summary serves /density
-// and /outliers.
+// and /outliers. clfOpt.KDE must leave the backend and accuracy to the
+// requests (see checkServingEval).
 func NewTransformModel(name string, t *core.Transform, clfOpt core.ClassifierOptions) (*Model, error) {
+	if err := checkServingEval(name, clfOpt.KDE); err != nil {
+		return nil, err
+	}
 	clf, err := core.NewClassifier(t, clfOpt)
 	if err != nil {
 		return nil, fmt.Errorf("server: model %q: %w", name, err)
@@ -100,8 +105,12 @@ func NewTransformModel(name string, t *core.Transform, clfOpt core.ClassifierOpt
 }
 
 // NewSummarizerModel wraps a standalone micro-cluster summary for
-// density evaluation and outlier scoring.
+// density evaluation and outlier scoring. opt must leave the backend
+// and accuracy to the requests (see checkServingEval).
 func NewSummarizerModel(name string, s *microcluster.Summarizer, opt kde.Options) (*Model, error) {
+	if err := checkServingEval(name, opt); err != nil {
+		return nil, err
+	}
 	est, err := kde.NewCluster(s, opt)
 	if err != nil {
 		return nil, fmt.Errorf("server: model %q: %w", name, err)
@@ -120,9 +129,14 @@ func NewSummarizerModel(name string, s *microcluster.Summarizer, opt kde.Options
 // non-empty, is where Checkpoint (and graceful shutdown) writes the
 // engine state. The density estimator is built lazily and rebuilt
 // whenever ingestion has advanced the engine since the last build.
+// opt must leave the backend and accuracy to the requests (see
+// checkServingEval).
 func NewStreamModel(name string, eng *stream.Engine, opt kde.Options, checkpointPath string) (*Model, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("server: model %q: nil stream engine", name)
+	}
+	if err := checkServingEval(name, opt); err != nil {
+		return nil, err
 	}
 	return &Model{
 		name:           name,
@@ -132,6 +146,24 @@ func NewStreamModel(name string, eng *stream.Engine, opt kde.Options, checkpoint
 		eng:            eng,
 		checkpointPath: checkpointPath,
 	}, nil
+}
+
+// checkServingEval refuses construction options that fix what each
+// density request picks: the backend and the accuracy mode are the
+// request's "backend" and "accuracy" fields, and the exact-mode paths
+// (coalescer, density cache, X-UDM-Accuracy echo) assume the model's
+// own estimator is exact. Prune and the grid sizing keys stay a
+// model-wide construction policy.
+func checkServingEval(name string, opt kde.Options) error {
+	if opt.Eval.Backend != evalopt.BackendDefault {
+		return fmt.Errorf("server: model %q: backend %q is chosen per request by the density request's \"backend\" field, not at model construction: %w",
+			name, opt.Eval.Backend, udmerr.ErrBadOption)
+	}
+	if !opt.Eval.Accuracy.IsExact() {
+		return fmt.Errorf("server: model %q: accuracy %v is chosen per request by the density request's \"accuracy\" field, not at model construction: %w",
+			name, opt.Eval.Accuracy, udmerr.ErrBadOption)
+	}
+	return nil
 }
 
 // Name returns the registry name.

@@ -150,6 +150,30 @@ serve_stage() {
   "$TMP/udmclassify" -train "$TMP/train.csv" -test "$TMP/test.csv" \
     -save "$TMP/model.gob" >/dev/null
 
+  # Requests pick the accuracy mode, so a model-wide one is refused at
+  # startup (timeout turns a server that listens anyway into rc 124),
+  # and the removed -prune flag (now -eval prune=...) is a usage error.
+  echo "serve-smoke: refused startup configurations"
+  local rc=0
+  timeout 10 "$TMP/udmserve" -addr "127.0.0.1:${PORT}" -eval 'accuracy=approx(0.01)' \
+    -model "blobs=transform:$TMP/model.gob" 2>"$TMP/refused.log" || rc=$?
+  if [ "$rc" = 0 ] || [ "$rc" = 124 ] || grep -q 'listening' "$TMP/refused.log" ||
+    ! grep -q '"accuracy" field' "$TMP/refused.log"; then
+    echo "serve-smoke: FAIL: -eval accuracy=approx(0.01) exited $rc; want a startup error naming the request's \"accuracy\" field" >&2
+    cat "$TMP/refused.log" >&2
+    exit 1
+  fi
+  echo "serve-smoke: ok: -eval accuracy=... refused before listening (exit $rc)"
+  rc=0
+  timeout 10 "$TMP/udmserve" -addr "127.0.0.1:${PORT}" -prune 0.01 \
+    -model "blobs=transform:$TMP/model.gob" 2>"$TMP/refused.log" || rc=$?
+  if [ "$rc" != 2 ]; then
+    echo "serve-smoke: FAIL: -prune exited $rc, want 2 (unknown flag)" >&2
+    cat "$TMP/refused.log" >&2
+    exit 1
+  fi
+  echo "serve-smoke: ok: -prune is a usage error (exit 2)"
+
   echo "serve-smoke: starting udmserve on $base"
   "$TMP/udmserve" -addr "127.0.0.1:${PORT}" -debug \
     -model "blobs=transform:$TMP/model.gob" 2>"$TMP/server.log" &

@@ -225,15 +225,15 @@ type (
 	// BandwidthRule names a bandwidth selection rule.
 	BandwidthRule = kernel.BandwidthRule
 	// AccuracyMode selects exact kernel evaluation or the bounded-error
-	// fast-exponential surrogate on the batch density paths; set it via
-	// DensityOptions.Accuracy or per estimator with WithAccuracy. The
-	// zero value is exact.
+	// fast-exponential surrogate on the batch density paths; set it at
+	// construction via DensityOptions.Eval.Accuracy, or per estimator
+	// with WithAccuracy. The zero value is exact.
 	AccuracyMode = kernel.AccuracyMode
 )
 
 // Exact requests exact kernel evaluation (the AccuracyMode zero value):
 // batch densities are bit-identical to the per-query methods when
-// DensityOptions.Prune is zero.
+// DensityOptions.Eval.Prune is zero.
 func Exact() AccuracyMode { return kernel.Exact() }
 
 // Approx requests approximate kernel evaluation with relative density
@@ -262,25 +262,24 @@ func NewPointDensity(ds *Dataset, opt DensityOptions) (*PointDensity, error) {
 	return kde.NewPoint(ds, opt)
 }
 
-// BatchOptions carries every per-call knob of a batch density
-// evaluation — context, worker cap, and the unified evaluation
-// options — so the density batch functions take one BatchOptions
-// instead of positional arguments.
+// BatchOptions carries the per-call knobs of a batch density
+// evaluation: the context (Ctx) and the worker cap (Workers). How the
+// estimator evaluates is fixed when it is built, through
+// DensityOptions.Eval.
 type BatchOptions = kde.BatchOptions
 
 // EvalOptions is the one home for every evaluation knob: backend
-// selection, the grid backend's ε budget, far-field pruning, the
-// kernel accuracy mode, worker cap and seed. Set it on
-// DensityOptions.Eval to govern construction, or on BatchOptions.Eval
-// to govern one batch call. The zero value means exact evaluation with
-// default behavior everywhere.
+// selection, the grid backend's ε budget and cell count, far-field
+// pruning, the kernel accuracy mode, and the micro backend's cluster
+// budget and seed. Set it on DensityOptions.Eval; it governs
+// construction. The zero value means exact evaluation with default
+// behavior everywhere.
 type EvalOptions = evalopt.Options
 
-// ParseEvalOptions parses the shared wire/flag form of EvalOptions —
-// a comma-separated key=value list ("backend=grid,epsilon=0.05,
-// workers=4"), with a bare backend name accepted as shorthand. It is
-// the grammar the udmkde -eval flag and the serving layer's eval
-// request field speak.
+// ParseEvalOptions parses the textual form of EvalOptions — a
+// comma-separated key=value list ("backend=grid,epsilon=0.05"), with a
+// bare backend name accepted as shorthand. It is the grammar of the
+// udmkde and udmserve -eval flags.
 var ParseEvalOptions = evalopt.Parse
 
 // DensityBackendKind names a density-evaluation backend.
@@ -316,13 +315,14 @@ func DensityBackendFromSummarizer(s *Summarizer, opt DensityOptions) (*ClusterDe
 
 // DensityBatchOpts evaluates any density estimator at every row of X
 // over the dimension subset dims (nil = all dimensions): opt.Ctx
-// cancels the batch, opt.Workers caps the fan-out, and opt.Eval
-// selects accuracy. Results are bit-for-bit identical for every worker
-// count, and — in exact mode with DensityOptions.Prune zero —
-// bit-identical to the serial per-query loop; Prune > 0 trades a
-// bounded relative error for far-field truncation, and a non-exact
-// AccuracyMode additionally enables the fast-exponential surrogate.
-// Every backend NewDensityBackend builds runs on the same engine.
+// cancels the batch and opt.Workers caps the fan-out. Results are
+// bit-for-bit identical for every worker count, and — in exact mode
+// with DensityOptions.Eval.Prune zero — bit-identical to the serial
+// per-query loop; Eval.Prune > 0 trades a bounded relative error for
+// far-field truncation, and a non-exact Eval.Accuracy (or an
+// estimator's WithAccuracy view) additionally enables the
+// fast-exponential surrogate. Every backend NewDensityBackend builds
+// runs on the same engine.
 func DensityBatchOpts(est DensityEstimator, X [][]float64, dims []int, opt BatchOptions) ([]float64, error) {
 	return kde.DensityBatchOpts(est, X, dims, opt)
 }
