@@ -82,8 +82,8 @@ fuzz-smoke:
 ## under -race, plus a longer -race fuzz burn of the newest targets
 faults:
 	$(GO) test -race ./internal/faultinject
-	$(GO) test -race -run 'TestFault|TestBatcher|TestRetr|TestBreaker' ./internal/server
-	$(GO) test -race -run 'TestFault' ./internal/distrib
+	$(GO) test -race -run 'TestFault|TestBatcher' ./internal/server
+	$(GO) test -race -run 'TestFault|TestRetr|TestBreaker' ./internal/distrib
 	$(GO) test -race -fuzz=FuzzFeatureMerge -fuzztime=30s -run='^Fuzz' ./internal/microcluster
 	$(GO) test -race -fuzz=FuzzPrometheusExposition -fuzztime=30s -run='^Fuzz' ./internal/obs
 

@@ -177,20 +177,20 @@ func main() {
 
 	p, err := distrib.NewProxy(shards, models, distrib.Options{
 		Server: server.Options{
-			MaxBatch:         *maxBatch,
-			RequestTimeout:   *timeout,
-			MaxInflight:      *maxInflight,
-			RetryMax:         *retryMax,
-			RetryBase:        *retryBase,
-			RetryCap:         *retryCap,
-			BreakerThreshold: *breakerAfter,
-			BreakerCooldown:  *breakerCool,
+			MaxBatch:       *maxBatch,
+			RequestTimeout: *timeout,
+			MaxInflight:    *maxInflight,
 		},
-		FanoutWorkers: *fanoutWorkers,
-		VNodes:        *vnodes,
-		RingSeed:      *ringSeed,
-		ShardTimeout:  *shardTimeout,
-		RefreshMax:    *refreshMax,
+		FanoutWorkers:    *fanoutWorkers,
+		VNodes:           *vnodes,
+		RingSeed:         *ringSeed,
+		ShardTimeout:     *shardTimeout,
+		RefreshMax:       *refreshMax,
+		RetryMax:         *retryMax,
+		RetryBase:        *retryBase,
+		RetryCap:         *retryCap,
+		BreakerThreshold: *breakerAfter,
+		BreakerCooldown:  *breakerCool,
 	})
 	if err != nil {
 		fatal(err)

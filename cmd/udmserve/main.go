@@ -14,6 +14,11 @@
 // or stream (udmstream -checkpoint). Stream models are checkpointed
 // back to their source path on shutdown unless -no-checkpoint is set.
 //
+// Every evaluation calls the library directly, so a 200 density is
+// always the current model version's exact answer and a failed
+// evaluation answers its error at once. Retries and circuit breakers
+// live only in udmproxy, around the shard RPCs that cross a network.
+//
 // Endpoints: GET /healthz /readyz /metrics /v1/models and POST
 // /v1/models/{name}/{classify,density,outliers,ingest}. /metrics
 // serves the legacy JSON document by default and the Prometheus text
@@ -127,7 +132,7 @@ func main() {
 	var joins joinFlags
 	flag.Var(&joins, "join", "replicate a stream model from a running shard, name=url (repeatable; not checkpointed on shutdown)")
 	var faults faultFlags
-	flag.Var(&faults, "fault", "arm a fault-injection site, site=spec (repeatable; e.g. server.model.eval=error,times=3; testing only)")
+	flag.Var(&faults, "fault", "arm a fault-injection site, site=spec (repeatable; e.g. server.batcher.flush=error,times=3; testing only)")
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		threshold    = flag.Float64("a", 0, "classifier accuracy threshold for transform models (0 = default)")
@@ -142,11 +147,6 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max time to drain in-flight requests on shutdown")
 		debug        = flag.Bool("debug", false, "expose /debug/pprof, /debug/traces and /debug/slow plus runtime gauges (unauthenticated)")
 		slowRequest  = flag.Duration("slow", 0, "log requests slower than this and keep them in /debug/slow (0 = default 1s; -1ns disables)")
-		retryMax     = flag.Int("retry-max", 0, "max retries of a transiently-failed model evaluation (0 = default 2; negative disables)")
-		retryBase    = flag.Duration("retry-base", 0, "base retry backoff (0 = default 5ms)")
-		retryCap     = flag.Duration("retry-cap", 0, "max retry backoff (0 = default 250ms)")
-		breakerAfter = flag.Int("breaker-threshold", 0, "consecutive failures that open a model's circuit breaker (0 = default 5; negative disables)")
-		breakerCool  = flag.Duration("breaker-cooldown", 0, "how long an open breaker refuses traffic before probing (0 = default 5s)")
 		tenantInfl   = flag.Int("tenant-inflight", 0, "per-tenant fair-share cap on admitted requests (0 = same as -max-inflight; negative = unlimited)")
 		tenantModels = flag.Int("tenant-models", 0, "per-tenant cap on registered models, active or staged (0 = unlimited)")
 		tenantPoints = flag.Int64("tenant-points", 0, "per-tenant cap on resident summarized points (0 = unlimited)")
@@ -205,18 +205,13 @@ func main() {
 	}
 
 	srv := server.New(reg, server.Options{
-		MaxBatch:         *maxBatch,
-		RequestTimeout:   *timeout,
-		MaxInflight:      *maxInflight,
-		CacheSize:        *cacheSize,
-		Workers:          *workers,
-		Debug:            *debug,
-		SlowRequest:      *slowRequest,
-		RetryMax:         *retryMax,
-		RetryBase:        *retryBase,
-		RetryCap:         *retryCap,
-		BreakerThreshold: *breakerAfter,
-		BreakerCooldown:  *breakerCool,
+		MaxBatch:       *maxBatch,
+		RequestTimeout: *timeout,
+		MaxInflight:    *maxInflight,
+		CacheSize:      *cacheSize,
+		Workers:        *workers,
+		Debug:          *debug,
+		SlowRequest:    *slowRequest,
 
 		TenantMaxInflight: *tenantInfl,
 		TenantMaxModels:   *tenantModels,

@@ -34,16 +34,16 @@ type Shard struct {
 }
 
 // ShardClient speaks the serving wire protocol to one shard, each RPC
-// running under the shard's own retry budget and circuit breaker — the
-// exact resilience stack the single-node server wraps around model
-// evaluations, reused via server.Guard. Remote error codes map back to
-// the module's sentinel errors (server.SentinelFor), so callers
-// classify shard failures with errors.Is, never by matching strings.
+// running under the shard's own retry budget and circuit breaker
+// (guard.go). Remote error codes map back to the module's sentinel
+// errors (server.SentinelFor), so callers classify shard failures with
+// errors.Is, never by matching strings.
 type ShardClient struct {
 	shard   Shard
 	index   int
 	hc      *http.Client
-	guard   *server.Guard
+	retry   *retrier
+	br      *breaker
 	timeout time.Duration
 
 	errors  *obs.Counter   // udm_proxy_shard_errors_total{shard=...}
@@ -52,14 +52,19 @@ type ShardClient struct {
 
 // NewShardClient builds a client for one shard. opt supplies the
 // per-RPC timeout and the retry/breaker configuration; reg receives
-// the shard-labeled metrics.
+// the shard-labeled metrics: udm_retry_total{target="shard:NAME"},
+// udm_breaker_state and udm_breaker_trips_total{model="shard:NAME"},
+// and the udm_proxy_shard_* series.
 func NewShardClient(index int, sh Shard, opt Options, reg *obs.Registry) *ShardClient {
 	opt = opt.withDefaults()
+	target := "shard:" + sh.Name
 	return &ShardClient{
-		shard:   sh,
-		index:   index,
-		hc:      &http.Client{},
-		guard:   server.NewGuard("shard:"+sh.Name, opt.Server, reg),
+		shard: sh,
+		index: index,
+		hc:    &http.Client{},
+		retry: newRetrier(opt, reg.Counter("udm_retry_total",
+			"operations retried after a transient failure", "target", target)),
+		br:      newBreaker(target, opt, reg),
 		timeout: opt.ShardTimeout,
 		errors: reg.Counter("udm_proxy_shard_errors_total",
 			"failed shard RPC attempts", "shard", sh.Name),
@@ -74,19 +79,14 @@ func (c *ShardClient) Name() string { return c.shard.Name }
 // Index returns the shard's position in the fan-out order.
 func (c *ShardClient) Index() int { return c.index }
 
-// Open reports whether the shard's circuit breaker currently refuses
-// admission.
-func (c *ShardClient) Open() bool { return c.guard.Open() }
-
 // rpc runs one guarded RPC: breaker admission, retry budget, the
 // distrib.shard.rpc fault site, a per-attempt timeout, and latency /
 // error accounting. hdr carries extra request headers (nil for none);
 // handle consumes a 200 response's body.
 func (c *ShardClient) rpc(ctx context.Context, method, path string, in any, hdr http.Header, handle func(*http.Response) error) error {
-	_, err := server.GuardDo(ctx, c.guard, func(ctx context.Context) (struct{}, error) {
-		return struct{}{}, c.attempt(ctx, method, path, in, hdr, handle)
+	return retryDo(ctx, c.retry, c.br, func(ctx context.Context) error {
+		return c.attempt(ctx, method, path, in, hdr, handle)
 	})
-	return err
 }
 
 // attempt runs one RPC attempt under its own deadline. A failure caused

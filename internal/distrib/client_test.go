@@ -60,7 +60,7 @@ func TestIngestRetryIdempotent(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 	c := NewShardClient(0, Shard{Name: "primary", URL: ts.URL}, Options{
-		Server: server.Options{RetryBase: time.Millisecond, RetryCap: 2 * time.Millisecond},
+		RetryBase: time.Millisecond, RetryCap: 2 * time.Millisecond,
 	}, obs.NewRegistry())
 
 	rows := testRows(t, 20, 51)
@@ -96,7 +96,7 @@ func TestShardTimeoutRetried(t *testing.T) {
 	t.Cleanup(ts.Close)
 	c := NewShardClient(0, Shard{Name: "slow", URL: ts.URL}, Options{
 		ShardTimeout: 40 * time.Millisecond,
-		Server:       server.Options{RetryBase: time.Millisecond, RetryCap: 2 * time.Millisecond},
+		RetryBase:    time.Millisecond, RetryCap: 2 * time.Millisecond,
 	}, obs.NewRegistry())
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -124,7 +124,7 @@ func TestShardTimeoutSentinel(t *testing.T) {
 	t.Cleanup(ts.Close)
 	c := NewShardClient(0, Shard{Name: "hung", URL: ts.URL}, Options{
 		ShardTimeout: 30 * time.Millisecond,
-		Server:       server.Options{RetryMax: -1},
+		RetryMax:     -1,
 	}, obs.NewRegistry())
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

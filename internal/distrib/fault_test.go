@@ -104,12 +104,10 @@ func TestFaultShardKilledMidQuery(t *testing.T) {
 	p, err := NewProxy(shards, []ModelConfig{
 		{Name: "live", Mode: ModePartitioned, Dims: 2, KDE: testKDE},
 	}, Options{
-		FanoutWorkers: 1, // serial scatter: shard 0's RPC is the first attempt
-		Server: server.Options{
-			RetryMax:         -1, // the injected failure must not be retried away
-			BreakerThreshold: 1,
-			BreakerCooldown:  time.Hour,
-		},
+		FanoutWorkers:    1,  // serial scatter: shard 0's RPC is the first attempt
+		RetryMax:         -1, // the injected failure must not be retried away
+		BreakerThreshold: 1,
+		BreakerCooldown:  time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +182,7 @@ func TestFaultAllShardsDown(t *testing.T) {
 		{Name: "live", Mode: ModePartitioned, Dims: 2, KDE: testKDE},
 	}, Options{
 		FanoutWorkers: 1,
-		Server:        server.Options{RetryMax: -1, BreakerThreshold: 1, BreakerCooldown: time.Hour},
+		RetryMax:      -1, BreakerThreshold: 1, BreakerCooldown: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,4 +1,4 @@
-package server
+package distrib
 
 import (
 	"context"
@@ -7,36 +7,22 @@ import (
 	"sync"
 	"time"
 
-	"udm/internal/faultinject"
 	"udm/internal/obs"
 	"udm/internal/rng"
 	"udm/internal/udmerr"
 )
 
-// Injection sites compiled into the serving layer. Each is a named
-// faultinject.Point consulted on the path it guards; all are free
-// (one atomic load) until a fault plan is armed.
-var (
-	// flushFault fires once per coalesced batch flush, before the
-	// batched library call runs (batcher.go).
-	flushFault = faultinject.NewPoint("server.batcher.flush")
-	// cacheGetFault makes the density cache unavailable for a lookup;
-	// the serving layer must treat that as a miss, never as a failure.
-	cacheGetFault = faultinject.NewPoint("server.cache.get")
-	// evalFault fires once per model evaluation (batched or direct) —
-	// the "backend is failing" lever behind the retry and breaker tests.
-	evalFault = faultinject.NewPoint("server.model.eval")
-	// modelCheckpointFault guards the server-side checkpoint writer
-	// (registry.go): error plans fail the write, truncation plans tear
-	// the artifact.
-	modelCheckpointFault = faultinject.NewPoint("server.checkpoint.write")
-)
+// This file is the shard guard every ShardClient RPC runs under: a
+// seeded retry loop and a per-shard circuit breaker. A shard RPC
+// crosses a network hop, which fails transiently (a reset connection,
+// a hung attempt, a restarting shard); an in-process evaluation does
+// not, so this is the module's only resilience layer.
 
-// retryable classifies an error as a transient backend fault worth
-// retrying. Context endings are the caller's signal to stop; the
-// sentinel input/configuration errors are deterministic (the same
-// request fails the same way forever); breaker refusals are load
-// shedding, not new information.
+// retryable classifies an error as a transient fault worth retrying.
+// Context endings are the caller's signal to stop; the sentinel
+// input/configuration errors are deterministic (the same request fails
+// the same way forever); breaker refusals are load shedding, not new
+// information.
 func retryable(err error) bool {
 	switch {
 	case err == nil,
@@ -56,16 +42,16 @@ func retryable(err error) bool {
 	return true
 }
 
-// retrier bounds and paces retries of failed model evaluations with
+// retrier bounds and paces retries of failed shard RPCs with
 // decorrelated-jitter backoff: each sleep is drawn uniformly from
 // [base, 3·prev] and clamped to cap, so consecutive retries spread out
 // without synchronizing across requests. Draws come from a seeded
 // rng.Source, making sleep sequences reproducible for a fixed seed and
-// arrival order — the fault-matrix tests pin exact schedules this way.
+// arrival order.
 type retrier struct {
 	max       int           // retries after the first attempt
 	base, cap time.Duration // backoff window
-	retries   *obs.Counter  // udm_retry_total
+	retries   *obs.Counter  // udm_retry_total{target=...}
 
 	mu  sync.Mutex
 	rng *rng.Source
@@ -75,9 +61,11 @@ type retrier struct {
 	sleep func(context.Context, time.Duration) error
 }
 
+// newRetrier builds a retrier from defaulted options; a negative
+// RetryMax disables retries.
 func newRetrier(opt Options, retries *obs.Counter) *retrier {
 	return &retrier{
-		max:     opt.RetryMax,
+		max:     max(opt.RetryMax, 0),
 		base:    opt.RetryBase,
 		cap:     opt.RetryCap,
 		retries: retries,
@@ -113,15 +101,12 @@ func (r *retrier) backoff(prev *time.Duration) time.Duration {
 	return d
 }
 
-// retryDo runs op under the model's circuit breaker and the server's
-// retry budget. The happy path adds one breaker admission (a short
-// mutex hold) and one outcome report around op — it never touches the
-// result value, so responses stay bit-identical to direct library
-// calls. On retryable failure it backs off and re-runs op with the
-// same arguments; a request whose context has ended is never retried
-// (its failure already has an owner: the client).
-func retryDo[T any](ctx context.Context, r *retrier, br *breaker, op func(context.Context) (T, error)) (T, error) {
-	var zero T
+// retryDo runs op under the shard's circuit breaker and retry budget.
+// The happy path adds one breaker admission (a short mutex hold) and
+// one outcome report around op. On retryable failure it backs off and
+// re-runs op; a call whose context has ended is never retried (its
+// failure already has an owner: the caller).
+func retryDo(ctx context.Context, r *retrier, br *breaker, op func(context.Context) error) error {
 	var lastErr error
 	prev := r.base
 	for attempt := 0; ; attempt++ {
@@ -129,25 +114,24 @@ func retryDo[T any](ctx context.Context, r *retrier, br *breaker, op func(contex
 			if lastErr != nil {
 				// The breaker opened under our own failed attempts;
 				// the original failure is the informative error.
-				return zero, lastErr
+				return lastErr
 			}
-			return zero, err
+			return err
 		}
-		v, err := op(ctx)
-		// Only transient backend faults count against the breaker:
-		// input errors and context endings say nothing about model
-		// health.
+		err := op(ctx)
+		// Only transient faults count against the breaker: input
+		// errors and context endings say nothing about shard health.
 		br.done(err == nil || !retryable(err))
 		if err == nil {
-			return v, nil
+			return nil
 		}
 		lastErr = err
 		if !retryable(err) || attempt >= r.max || ctx.Err() != nil {
-			return zero, err
+			return err
 		}
 		r.retries.Inc()
 		if serr := r.sleep(ctx, r.backoff(&prev)); serr != nil {
-			return zero, err
+			return err
 		}
 	}
 }
@@ -173,17 +157,17 @@ func (s breakerState) String() string {
 	return "unknown"
 }
 
-// breaker is a per-model circuit breaker. Closed: requests flow,
-// consecutive backend failures are counted. Open (after threshold
+// breaker is a per-shard circuit breaker. Closed: requests flow,
+// consecutive transient failures are counted. Open (after threshold
 // failures): requests are refused with ErrCircuitOpen without touching
-// the model, until cooldown elapses. Half-open: up to probes requests
+// the shard, until cooldown elapses. Half-open: up to probes requests
 // are let through; probes consecutive successes close the breaker, any
 // failure reopens it (restarting the cooldown).
 //
 // A nil *breaker is valid and always allows — the disabled
 // configuration compiles to two nil checks.
 type breaker struct {
-	model     string
+	target    string
 	threshold int
 	cooldown  time.Duration
 	probes    int
@@ -199,20 +183,23 @@ type breaker struct {
 	openedAt time.Time // when the breaker last opened
 }
 
-func newBreaker(model string, opt Options, reg *obs.Registry) *breaker {
+// newBreaker builds the breaker for one named target from defaulted
+// options, or nil (always allow) when BreakerThreshold is negative.
+// Its series keep the label name "model" for dashboard compatibility.
+func newBreaker(target string, opt Options, reg *obs.Registry) *breaker {
 	if opt.BreakerThreshold <= 0 {
 		return nil
 	}
 	b := &breaker{
-		model:     model,
+		target:    target,
 		threshold: opt.BreakerThreshold,
 		cooldown:  opt.BreakerCooldown,
 		probes:    opt.BreakerProbes,
 		now:       time.Now,
 		gauge: reg.Gauge("udm_breaker_state",
-			"circuit-breaker state by model (0 closed, 1 open, 2 half-open)", "model", model),
+			"circuit-breaker state by model (0 closed, 1 open, 2 half-open)", "model", target),
 		trips: reg.Counter("udm_breaker_trips_total",
-			"circuit-breaker open transitions by model", "model", model),
+			"circuit-breaker open transitions by model", "model", target),
 	}
 	b.gauge.Set(float64(breakerClosed))
 	return b
@@ -228,21 +215,21 @@ func (b *breaker) allow() error {
 	defer b.mu.Unlock()
 	if b.state == breakerOpen {
 		if b.now().Sub(b.openedAt) < b.cooldown {
-			return fmt.Errorf("server: model %q: %w (cooling down)", b.model, udmerr.ErrCircuitOpen)
+			return fmt.Errorf("distrib: breaker %q: %w (cooling down)", b.target, udmerr.ErrCircuitOpen)
 		}
 		b.setState(breakerHalfOpen)
 		b.oks, b.inflight = 0, 0
 	}
 	if b.state == breakerHalfOpen {
 		if b.inflight >= b.probes {
-			return fmt.Errorf("server: model %q: %w (half-open, probes in flight)", b.model, udmerr.ErrCircuitOpen)
+			return fmt.Errorf("distrib: breaker %q: %w (half-open, probes in flight)", b.target, udmerr.ErrCircuitOpen)
 		}
 		b.inflight++
 	}
 	return nil
 }
 
-// done reports the outcome of an allowed call; ok means the backend is
+// done reports the outcome of an allowed call; ok means the shard is
 // healthy (success, or a failure that is the caller's fault).
 func (b *breaker) done(ok bool) {
 	if b == nil {
@@ -293,7 +280,7 @@ func (b *breaker) setState(s breakerState) {
 	b.gauge.Set(float64(s))
 }
 
-// currentState snapshots the state (for tests and introspection).
+// currentState snapshots the state (for tests).
 func (b *breaker) currentState() breakerState {
 	if b == nil {
 		return breakerClosed

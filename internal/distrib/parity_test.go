@@ -108,6 +108,7 @@ func TestProxyServerWireParity(t *testing.T) {
 		{"density negative epsilon", "density", `{"point":[0.25,-0.5],"accuracy":"approx","epsilon":-1}`, nil, 400},
 		{"density unknown backend", "density", `{"point":[0.25,-0.5],"backend":"hbe"}`, nil, 400},
 		{"outliers wrong error width", "outliers", `{"points":[[0.25,-0.5]],"errors":[[0.1]]}`, nil, 400},
+		{"outliers dims too high", "outliers", `{"points":[[0.25,-0.5]],"dims":[5]}`, nil, 400},
 		{"ingest error count", "ingest", `{"points":[[0.25,-0.5],[1,2]],"errors":[[0.1,0.1]]}`, nil, 400},
 		{"ingest timestamp count", "ingest", `{"points":[[0.25,-0.5]],"timestamps":[1,2]}`, nil, 400},
 		{"ingest wrong error width", "ingest", `{"points":[[0.25,-0.5]],"errors":[[0.1]]}`, nil, 400},

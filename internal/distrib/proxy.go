@@ -36,9 +36,8 @@ type Options struct {
 	// Server supplies the knobs the proxy shares with the single-node
 	// server: micro-batching (MaxBatch), admission control
 	// (MaxInflight, TenantMaxInflight, TenantQuotas' MaxInflight,
-	// RequestTimeout), slow-span logging, and the retry/breaker
-	// configuration each shard guard runs under. The quotas on models
-	// and points are enforced by the shards.
+	// RequestTimeout) and slow-span logging. The quotas on models and
+	// points are enforced by the shards.
 	Server server.Options
 	// FanoutWorkers bounds the scatter stage's concurrency (≤ 0 means
 	// one worker per shard is allowed, the parallel pool's default).
@@ -54,8 +53,38 @@ type Options struct {
 	// RefreshMax bounds how many times a fan-out refreshes its head and
 	// re-scatters after a shard answers 409 stale_version (default 3).
 	RefreshMax int
+
+	// RetryMax is how many times a transiently-failed shard RPC is
+	// re-run beyond the first attempt (default 2; negative disables
+	// retries). Input errors, context endings and breaker refusals are
+	// never retried.
+	RetryMax int
+	// RetryBase and RetryCap bound the decorrelated-jitter backoff
+	// between retry attempts: each sleep is drawn from [RetryBase,
+	// 3×previous] and clamped to RetryCap (defaults 5ms and 250ms).
+	RetryBase time.Duration
+	RetryCap  time.Duration
+	// RetrySeed seeds the backoff jitter stream, making retry schedules
+	// reproducible for a fixed seed and arrival order (default 1).
+	RetrySeed int64
+	// BreakerThreshold is the number of consecutive transient RPC
+	// failures that opens a shard's circuit breaker (default 5;
+	// negative disables breakers). While open, the shard is refused
+	// with ErrCircuitOpen without an RPC, and fan-outs answer from the
+	// surviving shards.
+	BreakerThreshold int
+	// BreakerCooldown is how long an open breaker refuses its shard
+	// before letting probe requests through (default 5s).
+	BreakerCooldown time.Duration
+	// BreakerProbes is how many half-open probe requests may be in
+	// flight at once, and how many must succeed consecutively to close
+	// the breaker again (default 1).
+	BreakerProbes int
 }
 
+// withDefaults fills unset fields. It is idempotent: negative RetryMax
+// and BreakerThreshold survive it, and the guard reads them as
+// "disabled".
 func (o Options) withDefaults() Options {
 	if o.VNodes <= 0 {
 		o.VNodes = 64
@@ -68,6 +97,27 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RefreshMax <= 0 {
 		o.RefreshMax = 3
+	}
+	if o.RetryMax == 0 {
+		o.RetryMax = 2
+	}
+	if o.RetryBase == 0 {
+		o.RetryBase = 5 * time.Millisecond
+	}
+	if o.RetryCap == 0 {
+		o.RetryCap = 250 * time.Millisecond
+	}
+	if o.RetrySeed == 0 {
+		o.RetrySeed = 1
+	}
+	if o.BreakerThreshold == 0 {
+		o.BreakerThreshold = 5
+	}
+	if o.BreakerCooldown == 0 {
+		o.BreakerCooldown = 5 * time.Second
+	}
+	if o.BreakerProbes == 0 {
+		o.BreakerProbes = 1
 	}
 	return o
 }

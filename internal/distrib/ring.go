@@ -1,6 +1,7 @@
 // Package distrib is the distributed serving tier over the single-node
 // server: a seeded consistent-hash ring for partitioned ingest, a shard
-// client that reuses the serving layer's retry/breaker stack per shard,
+// client whose RPCs run under a per-shard retry loop and circuit
+// breaker (the module's one resilience layer, on its one network hop),
 // a fan-out/merge coordinator whose merged density answers are
 // bit-identical to a single node over the union of the shards' data,
 // and an HTTP front tier (Proxy, served by cmd/udmproxy) that is

@@ -1,14 +1,15 @@
 // Package faultinject is the repository's deterministic fault-injection
 // framework: named injection sites (Points) compiled into the layers
-// that can fail — the request batcher, the density cache, model
-// evaluation, checkpoint writes, the parallel engine's chunk dispatch —
-// and armed at runtime with seeded fault Specs (error returns, added
-// latency, payload truncation, injected cancellation).
+// that can fail — the request batcher, checkpoint writes, the parallel
+// engine's chunk dispatch, the proxy's shard RPCs — and armed at
+// runtime with seeded fault Specs (error returns, added latency,
+// payload truncation, injected cancellation).
 //
 // The framework exists so the failure path is as testable as the happy
-// path: the fault-matrix suite in internal/server and the resilience
-// layer's retry/breaker/degraded-mode tests all drive real faults
-// through real code, reproducibly, with no sleeps-and-hope scheduling.
+// path: the fault-matrix suites in internal/server and internal/distrib
+// (the proxy's shard retries, breakers and degraded fan-out among them)
+// drive real faults through real code, reproducibly, with no
+// sleeps-and-hope scheduling.
 //
 // # Cost when off
 //

@@ -4,7 +4,13 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
+
+	"udm/internal/faultinject"
 )
+
+// flushFault fires once per coalesced batch flush, before the batched
+// library call runs. Tests park requests on it with an injected delay.
+var flushFault = faultinject.NewPoint("server.batcher.flush")
 
 // batcher coalesces concurrent single-item requests into one batched
 // call on the shared worker pool by group commit. A submission that
@@ -90,8 +96,8 @@ func (b *batcher[Req, Res]) do(ctx context.Context, req Req) (Res, error) {
 			// The batch failed after this waiter's context ended (both
 			// select arms were ready; Go picks one at random). The
 			// cancellation owns the outcome: reporting the batch error
-			// would let upstream resilience retry or count a failure on
-			// behalf of a client that already hung up.
+			// would count a failure on behalf of a client that already
+			// hung up.
 			var zero Res
 			return zero, ctx.Err()
 		}

@@ -337,8 +337,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) error {
 func (f *Front) Fail(w http.ResponseWriter, err error) {
 	status, code := statusFor(err)
 	if status == http.StatusServiceUnavailable {
-		// Breaker refusals clear on their own; tell well-behaved clients
-		// when to come back.
+		// The proxy's shard-breaker refusals clear on their own; tell
+		// well-behaved clients when to come back.
 		w.Header().Set("Retry-After", "1")
 	}
 	f.Error(w, status, code, err.Error())

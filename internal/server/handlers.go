@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -10,22 +9,7 @@ import (
 	"udm/internal/evalopt"
 	"udm/internal/kde"
 	"udm/internal/kernel"
-	"udm/internal/udmerr"
 )
-
-// evalRetry runs one direct (non-coalesced) model evaluation under the
-// eval fault point, the slot's circuit breaker, and the server's retry
-// budget — the same resilience stack the batched paths get inside their
-// flush functions.
-func evalRetry[T any](ctx context.Context, s *Server, br *breaker, op func(context.Context) (T, error)) (T, error) {
-	return retryDo(ctx, s.retry, br, func(ctx context.Context) (T, error) {
-		if err := evalFault.Hit(ctx); err != nil {
-			var zero T
-			return zero, err
-		}
-		return op(ctx)
-	})
-}
 
 // model resolves the request's (tenant, model) pair to the atomically
 // published (model, generation) — writing 400 on a bad tenant id and
@@ -138,9 +122,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		}
 		labels = []int{label}
 	} else {
-		labels, err = evalRetry(r.Context(), s, s.breakerFor(sm.tenant, m.Name()), func(ctx context.Context) ([]int, error) {
-			return clf.ClassifyBatchContext(ctx, rows, s.opt.Workers)
-		})
+		labels, err = clf.ClassifyBatchContext(r.Context(), rows, s.opt.Workers)
 		if err != nil {
 			s.front.Fail(w, err)
 			return
@@ -176,10 +158,6 @@ type densityResponse struct {
 	Densities []float64 `json:"densities"`
 	Density   *float64  `json:"density,omitempty"` // set for single-point requests
 	Cached    bool      `json:"cached,omitempty"`
-	// Degraded marks a stale answer served because the model's circuit
-	// breaker was open; such responses also carry the X-UDM-Degraded
-	// header. Absent on every healthy response.
-	Degraded bool `json:"degraded,omitempty"`
 	// Coverage is set by the distributed front tier on degraded partial
 	// answers: the fraction of the model's summarized mass the
 	// surviving shards contributed, in (0, 1). Absent on every complete
@@ -203,24 +181,15 @@ func (s *Server) handleDensity(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if single {
-		d, cached, degraded, err := s.densityOne(r.Context(), sm, rows[0], req.Dims, bk, acc)
+		d, cached, err := s.densityOne(r.Context(), sm, rows[0], req.Dims, bk, acc)
 		if err != nil {
 			s.front.Fail(w, err)
 			return
 		}
-		if degraded {
-			w.Header().Set("X-UDM-Degraded", "stale")
-		}
-		s.front.WriteJSON(w, http.StatusOK, densityResponse{Densities: []float64{d}, Density: &d, Cached: cached, Degraded: degraded})
+		s.front.WriteJSON(w, http.StatusOK, densityResponse{Densities: []float64{d}, Density: &d, Cached: cached})
 		return
 	}
-	ds, err := evalRetry(r.Context(), s, s.breakerFor(sm.tenant, m.Name()), func(ctx context.Context) ([]float64, error) {
-		est, err := m.backendAt(bk, acc)
-		if err != nil {
-			return nil, err
-		}
-		return kde.DensityBatchOpts(est, rows, req.Dims, kde.BatchOptions{Ctx: ctx, Workers: s.opt.Workers})
-	})
+	ds, err := densities(r.Context(), m, rows, req.Dims, bk, acc, s.opt.Workers)
 	if err != nil {
 		s.front.Fail(w, err)
 		return
@@ -228,11 +197,15 @@ func (s *Server) handleDensity(w http.ResponseWriter, r *http.Request) {
 	s.front.WriteJSON(w, http.StatusOK, densityResponse{Densities: ds})
 }
 
-// staleVersion is the sentinel model version keying the stale cache.
-// Degraded mode deliberately ignores model versioning: a stale answer
-// that survived ingestion is exactly what a tripped model can still
-// serve.
-const staleVersion = ^uint64(0)
+// densities evaluates rows over dims on m's requested backend and
+// accuracy mode.
+func densities(ctx context.Context, m *Model, rows [][]float64, dims []int, bk evalopt.Backend, acc kernel.AccuracyMode, workers int) ([]float64, error) {
+	est, err := m.backendAt(bk, acc)
+	if err != nil {
+		return nil, err
+	}
+	return kde.DensityBatchOpts(est, rows, dims, kde.BatchOptions{Ctx: ctx, Workers: workers})
+}
 
 // densityOne serves one density query through the LRU cache and, for
 // full-dimensional exact queries on the exact backend, the
@@ -243,13 +216,8 @@ const staleVersion = ^uint64(0)
 // versions' — identical float batches are different answers) and by
 // accuracy and backend so answers from different rungs never alias;
 // the default and explicit-exact backends share the pre-backend key
-// format (they are bit-identical by contract). The stale key drops the
-// generation along with the version — degraded continuity across swaps
-// is deliberate — but never the tenant. When
-// the model's circuit breaker refuses the evaluation, the stale cache
-// answers instead (degraded=true); with no stale entry either, the
-// request fails with ErrDegraded.
-func (s *Server) densityOne(ctx context.Context, sm *servedModel, x []float64, dims []int, bk evalopt.Backend, acc kernel.AccuracyMode) (d float64, cached, degraded bool, err error) {
+// format (they are bit-identical by contract).
+func (s *Server) densityOne(ctx context.Context, sm *servedModel, x []float64, dims []int, bk evalopt.Backend, acc kernel.AccuracyMode) (d float64, cached bool, err error) {
 	m := sm.m
 	exactBackend := bk == evalopt.BackendDefault || bk == evalopt.BackendExact
 	mode := acc.String()
@@ -257,43 +225,24 @@ func (s *Server) densityOne(ctx context.Context, sm *servedModel, x []float64, d
 		mode = string(bk) + ":" + mode
 	}
 	key := cacheKey(sm.tenant, m.Name(), sm.gen, m.version(), mode, dims, x)
-	skey := cacheKey(sm.tenant, m.Name(), 0, staleVersion, mode, dims, x)
-	if ferr := cacheGetFault.Hit(ctx); ferr == nil {
-		if d, ok := s.cache.get(key); ok {
-			s.metrics.CacheHits.Add(1)
-			return d, true, false, nil
-		}
-		s.metrics.CacheMisses.Add(1)
-	} // an unavailable cache is a miss, never a failure
+	if d, ok := s.cache.get(key); ok {
+		s.metrics.CacheHits.Add(1)
+		return d, true, nil
+	}
+	s.metrics.CacheMisses.Add(1)
 	if exactBackend && dims == nil && acc.IsExact() {
 		d, err = s.runtime(sm).density.do(ctx, x)
 	} else {
-		d, err = evalRetry(ctx, s, s.breakerFor(sm.tenant, m.Name()), func(ctx context.Context) (float64, error) {
-			est, err := m.backendAt(bk, acc)
-			if err != nil {
-				return 0, err
-			}
-			ds, err := kde.DensityBatchOpts(est, [][]float64{x}, dims, kde.BatchOptions{Ctx: ctx, Workers: 1})
-			if err != nil {
-				return 0, err
-			}
-			return ds[0], nil
-		})
+		var ds []float64
+		if ds, err = densities(ctx, m, [][]float64{x}, dims, bk, acc, 1); err == nil {
+			d = ds[0]
+		}
 	}
 	if err != nil {
-		if errors.Is(err, udmerr.ErrCircuitOpen) {
-			if d, ok := s.stale.get(skey); ok {
-				s.metrics.Degraded.Add(1)
-				return d, true, true, nil
-			}
-			return 0, false, false, fmt.Errorf("server: model %q circuit open and no stale density for this point: %w",
-				m.Name(), udmerr.ErrDegraded)
-		}
-		return 0, false, false, err
+		return 0, false, err
 	}
 	s.cache.put(key, d)
-	s.stale.put(skey, d)
-	return d, false, false, nil
+	return d, false, nil
 }
 
 // --- /v1/models/{model}/outliers ---
@@ -330,9 +279,7 @@ func (s *Server) handleOutliers(w http.ResponseWriter, r *http.Request) {
 		s.front.Fail(w, err)
 		return
 	}
-	resp, err := evalRetry(r.Context(), s, s.breakerFor(sm.tenant, m.Name()), func(context.Context) (OutliersResponse, error) {
-		return ScoreOutliers(sum, m.kdeOpt, req)
-	})
+	resp, err := ScoreOutliers(sum, m.kdeOpt, req)
 	if err != nil {
 		s.front.Fail(w, err)
 		return

@@ -51,11 +51,9 @@ type Metrics struct {
 	// Stream ingestion.
 	IngestedRows *obs.Counter
 
-	// Resilience. These are Prometheus-only: the JSON /metrics document
-	// predates them and its key set is frozen.
-	Retries       *obs.Counter // model evaluations re-run after a transient failure
-	Degraded      *obs.Counter // responses served from the stale cache while a breaker was open
-	IngestDeduped *obs.Counter // retried ingest batches acknowledged from the dedup window
+	// Retried ingest batches acknowledged from the dedup window
+	// (Prometheus-only: the JSON /metrics key set is frozen).
+	IngestDeduped *obs.Counter
 
 	// Hot-swap lifecycle (labeled series of one family; Prometheus-only
 	// like the rest of the post-freeze metrics). Per-tenant request and
@@ -85,8 +83,6 @@ func newMetrics(f *Front) *Metrics {
 
 		IngestedRows: reg.Counter("udm_server_ingested_rows_total", "stream records ingested via /ingest"),
 
-		Retries:       reg.Counter("udm_retry_total", "model evaluations retried after a transient failure"),
-		Degraded:      reg.Counter("udm_server_degraded_total", "degraded responses served from the stale density cache"),
 		IngestDeduped: reg.Counter("udm_server_ingest_dedup_total", "retried ingest batches acknowledged without re-applying"),
 
 		SwapStaged:    reg.Counter("udm_server_swaps_total", "hot-swap lifecycle operations", "op", "stage"),

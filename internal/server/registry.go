@@ -20,6 +20,7 @@ import (
 	"udm/internal/core"
 	"udm/internal/density"
 	"udm/internal/evalopt"
+	"udm/internal/faultinject"
 	"udm/internal/kde"
 	"udm/internal/kernel"
 	"udm/internal/microcluster"
@@ -345,6 +346,10 @@ func (m *Model) summarizer() (*microcluster.Summarizer, error) {
 	defer m.mu.Unlock()
 	return m.sum, nil
 }
+
+// modelCheckpointFault guards the checkpoint writer: error plans fail
+// the write, truncation plans tear the artifact.
+var modelCheckpointFault = faultinject.NewPoint("server.checkpoint.write")
 
 // Checkpoint writes the stream engine to its checkpoint path. It is a
 // no-op for non-stream models and stream models without a path.

@@ -53,33 +53,6 @@ type Options struct {
 	// must be safe for concurrent use.
 	SlowLogf func(format string, args ...any)
 
-	// RetryMax is how many times a transiently-failed model evaluation
-	// is re-run beyond the first attempt (default 2; negative disables
-	// retries). Input errors, context endings and breaker refusals are
-	// never retried.
-	RetryMax int
-	// RetryBase and RetryCap bound the decorrelated-jitter backoff
-	// between retry attempts: each sleep is drawn from [RetryBase,
-	// 3×previous] and clamped to RetryCap (defaults 5ms and 250ms).
-	RetryBase time.Duration
-	RetryCap  time.Duration
-	// RetrySeed seeds the backoff jitter stream, making retry schedules
-	// reproducible for a fixed seed and arrival order (default 1).
-	RetrySeed int64
-	// BreakerThreshold is the number of consecutive transient evaluation
-	// failures that opens a model's circuit breaker (default 5; negative
-	// disables breakers). While open, requests for that model fail fast
-	// with 503 circuit_open — or are served stale densities in degraded
-	// mode — without touching the model.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker refuses traffic before
-	// letting probe requests through (default 5s).
-	BreakerCooldown time.Duration
-	// BreakerProbes is how many half-open probe requests may be in
-	// flight at once, and how many must succeed consecutively to close
-	// the breaker again (default 1).
-	BreakerProbes int
-
 	// TenantMaxInflight is the default per-tenant fair-share cap on
 	// concurrently admitted /v1 requests (default MaxInflight, i.e. no
 	// tighter than the global gate until configured; negative =
@@ -128,29 +101,6 @@ func (o Options) withDefaults() Options {
 	if o.SlowLogf == nil {
 		o.SlowLogf = log.Printf
 	}
-	if o.RetryMax == 0 {
-		o.RetryMax = 2
-	} else if o.RetryMax < 0 {
-		o.RetryMax = 0
-	}
-	if o.RetryBase == 0 {
-		o.RetryBase = 5 * time.Millisecond
-	}
-	if o.RetryCap == 0 {
-		o.RetryCap = 250 * time.Millisecond
-	}
-	if o.RetrySeed == 0 {
-		o.RetrySeed = 1
-	}
-	if o.BreakerThreshold == 0 {
-		o.BreakerThreshold = 5
-	}
-	if o.BreakerCooldown == 0 {
-		o.BreakerCooldown = 5 * time.Second
-	}
-	if o.BreakerProbes == 0 {
-		o.BreakerProbes = 1
-	}
 	if o.TenantMaxInflight == 0 {
 		o.TenantMaxInflight = o.MaxInflight
 	}
@@ -166,17 +116,6 @@ type Server struct {
 	front   *Front
 	metrics *Metrics
 	cache   *lruCache
-
-	// Resilience: shared retry pacing, one breaker per (tenant, model)
-	// slot — shared across that slot's versions, created lazily — and
-	// the stale density cache backing degraded mode. The stale cache is
-	// keyed without the model version or generation, so entries survive
-	// the bumps that retire the exact cache — deliberately: a stale
-	// answer is degraded mode's whole point.
-	retry    *retrier
-	brMu     sync.Mutex
-	breakers map[string]*breaker // key: tenant + "\x00" + name
-	stale    *lruCache
 
 	// ingestSeen remembers recently acknowledged ingest batches by
 	// idempotency key so a retry of a lost response never re-applies
@@ -221,7 +160,6 @@ func NewContext(ctx context.Context, reg *Registry, opt Options) *Server {
 	}
 	s := &Server{
 		reg:        reg,
-		breakers:   make(map[string]*breaker),
 		ingestSeen: newIngestDedup(),
 		runtimes:   make(map[*Model]*modelBatchers),
 	}
@@ -233,8 +171,6 @@ func NewContext(ctx context.Context, reg *Registry, opt Options) *Server {
 	s.opt = s.front.Options()
 	s.metrics = newMetrics(s.front)
 	s.cache = newLRUCache(s.opt.CacheSize)
-	s.stale = newLRUCache(s.opt.CacheSize)
-	s.retry = newRetrier(s.opt, s.metrics.Retries)
 	s.metrics.reg.GaugeFunc("udm_server_cache_entries", "live density-cache entries",
 		func() float64 { return float64(s.cache.len()) })
 	if s.opt.Debug {
@@ -250,28 +186,11 @@ func NewContext(ctx context.Context, reg *Registry, opt Options) *Server {
 	return s
 }
 
-// breakerFor get-or-creates the circuit breaker for a (tenant, model)
-// slot. The breaker outlives version swaps on purpose: a promote is
-// not evidence the dependency recovered, and a rollback must not reset
-// accumulated failure state. The metric label stays the bare model
-// name for the default tenant so pre-tenancy dashboards keep working.
-func (s *Server) breakerFor(tenant, name string) *breaker {
-	key := tenant + "\x00" + name
-	s.brMu.Lock()
-	defer s.brMu.Unlock()
-	br, ok := s.breakers[key]
-	if !ok {
-		br = newBreaker(ModelRef(tenant, name), s.opt, s.metrics.reg)
-		s.breakers[key] = br
-	}
-	return br
-}
-
 // runtime get-or-creates the coalescing batchers for one published
 // (model, generation) pair, keyed by model instance: every request in
 // a coalesced batch resolved the same instance, so a batch can never
-// span a version swap. Flush closures capture the instance and the
-// slot's breaker, and run under the server lifecycle context.
+// span a version swap. Flush closures capture the instance and run
+// under the server lifecycle context.
 func (s *Server) runtime(sm *servedModel) *modelBatchers {
 	s.rtMu.Lock()
 	defer s.rtMu.Unlock()
@@ -280,31 +199,20 @@ func (s *Server) runtime(sm *servedModel) *modelBatchers {
 		return mb
 	}
 	m, opt := sm.m, s.opt
-	br := s.breakerFor(sm.tenant, m.Name())
 	mb = &modelBatchers{}
 	if clf := m.Classifier(); clf != nil {
 		mb.classify = newBatcher(s.baseCtx, opt.MaxBatch, s.metrics,
 			func(ctx context.Context, reqs [][]float64) ([]int, error) {
-				return retryDo(ctx, s.retry, br, func(ctx context.Context) ([]int, error) {
-					if err := evalFault.Hit(ctx); err != nil {
-						return nil, err
-					}
-					return clf.ClassifyBatchContext(ctx, reqs, opt.Workers)
-				})
+				return clf.ClassifyBatchContext(ctx, reqs, opt.Workers)
 			})
 	}
 	mb.density = newBatcher(s.baseCtx, opt.MaxBatch, s.metrics,
 		func(ctx context.Context, reqs [][]float64) ([]float64, error) {
-			return retryDo(ctx, s.retry, br, func(ctx context.Context) ([]float64, error) {
-				if err := evalFault.Hit(ctx); err != nil {
-					return nil, err
-				}
-				est, _, err := m.estimator()
-				if err != nil {
-					return nil, err
-				}
-				return kde.DensityBatchOpts(est, reqs, nil, kde.BatchOptions{Ctx: ctx, Workers: opt.Workers})
-			})
+			est, _, err := m.estimator()
+			if err != nil {
+				return nil, err
+			}
+			return kde.DensityBatchOpts(est, reqs, nil, kde.BatchOptions{Ctx: ctx, Workers: opt.Workers})
 		})
 	s.runtimes[sm.m] = mb
 	return mb

@@ -694,3 +694,42 @@ func TestUnencodableDensityAnswers500(t *testing.T) {
 		}
 	}
 }
+
+// TestEmptyStreamModelUntrained: a stream model whose engine holds no
+// records yet answers 409 untrained, a client-side condition, and
+// serves at once after its first ingest — nothing from the empty
+// period lingers.
+func TestEmptyStreamModelUntrained(t *testing.T) {
+	eng, err := stream.NewEngine(stream.Options{MicroClusters: 20, Dims: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewStreamModel("empty", eng, kde.Options{ErrorAdjust: true}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	if err := reg.Add(m); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(reg, Options{}).Handler())
+	defer ts.Close()
+	url := ts.URL + "/v1/models/empty/"
+
+	batch := map[string]any{"points": [][]float64{{0, 0}, {1, 1}}}
+	for i := 0; i < 2; i++ {
+		if status, code := errCode(t, url+"density", batch); status != http.StatusConflict || code != "untrained" {
+			t.Fatalf("density %d on an empty model -> %d %q, want 409 untrained", i, status, code)
+		}
+	}
+	rows := [][]float64{{0.5, 0.5}, {1, 1.5}, {-1, 0}, {2, -1}, {0, 2}, {-0.5, -1.5}}
+	if st := postJSON(t, url+"ingest", map[string]any{"points": rows}, nil); st != http.StatusOK {
+		t.Fatalf("ingest: %d", st)
+	}
+	for _, body := range []map[string]any{batch, {"point": []float64{0, 0}}} {
+		var resp densityResponse
+		if st := postJSON(t, url+"density", body, &resp); st != http.StatusOK || len(resp.Densities) == 0 {
+			t.Fatalf("density %v after the first ingest -> %d %+v, want 200", body, st, resp)
+		}
+	}
+}

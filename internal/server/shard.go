@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -151,8 +150,7 @@ func (s *Server) handleTail(w http.ResponseWriter, r *http.Request) {
 // handlePartial evaluates the per-cluster density terms of every
 // requested point over the shard's local summary, under the
 // coordinator's global bandwidths, pinned to the coordinator's model
-// version. It runs under the same admission guard, fault site, retry
-// budget and circuit breaker as /density.
+// version. It runs under the same admission guard as /density.
 func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	sm, ok := s.model(w, r)
 	if !ok {
@@ -167,34 +165,25 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 		s.front.Fail(w, err)
 		return
 	}
-	type partial struct {
-		terms  [][]float64
-		weight float64
-		v      uint64
-	}
-	res, err := evalRetry(r.Context(), s, s.breakerFor(sm.tenant, m.Name()), func(ctx context.Context) (partial, error) {
-		est, v, err := m.partialEstimator(req.Bandwidths)
-		if err != nil {
-			return partial{}, err
-		}
-		if v != req.Version {
-			return partial{}, fmt.Errorf("server: model %q is at version %d, fan-out pinned %d: %w",
-				m.Name(), v, req.Version, udmerr.ErrStaleVersion)
-		}
-		terms, err := est.PartialTermsBatch(req.Points, req.Dims, kde.BatchOptions{Ctx: ctx, Workers: s.opt.Workers})
-		if err != nil {
-			return partial{}, err
-		}
-		return partial{terms: terms, weight: float64(est.Count()), v: v}, nil
-	})
+	est, v, err := m.partialEstimator(req.Bandwidths)
 	if err != nil {
 		s.front.Fail(w, err)
 		return
 	}
-	w.Header().Set(VersionHeader, strconv.FormatUint(res.v, 10))
+	if v != req.Version {
+		s.front.Fail(w, fmt.Errorf("server: model %q is at version %d, fan-out pinned %d: %w",
+			m.Name(), v, req.Version, udmerr.ErrStaleVersion))
+		return
+	}
+	terms, err := est.PartialTermsBatch(req.Points, req.Dims, kde.BatchOptions{Ctx: r.Context(), Workers: s.opt.Workers})
+	if err != nil {
+		s.front.Fail(w, err)
+		return
+	}
+	w.Header().Set(VersionHeader, strconv.FormatUint(v, 10))
 	s.front.WriteJSON(w, http.StatusOK, partialResponse{
-		Terms:   res.terms,
-		Weight:  res.weight,
-		Version: res.v,
+		Terms:   terms,
+		Weight:  float64(est.Count()),
+		Version: v,
 	})
 }

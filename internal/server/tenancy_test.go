@@ -235,8 +235,8 @@ func TestTenantInflightQuota(t *testing.T) {
 	_, _, quietBefore := postRaw(t, ts.URL+"/v1/t/acme/models/blobs/density", quiet)
 
 	// Hold noisy's single inflight slot: one request parks inside an
-	// injected 300ms evaluation delay.
-	if err := faultinject.Arm("server.model.eval", faultinject.Spec{Delay: 300 * time.Millisecond, Times: 1}); err != nil {
+	// injected 300ms batch-flush delay.
+	if err := faultinject.Arm("server.batcher.flush", faultinject.Spec{Delay: 300 * time.Millisecond, Times: 1}); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -250,12 +250,12 @@ func TestTenantInflightQuota(t *testing.T) {
 			resp.Body.Close()
 		}
 	}()
-	// Wait until the slow request is demonstrably inside the model eval
+	// Wait until the slow request is demonstrably inside the flush
 	// (and therefore holding its tenant's inflight token).
 	deadline := time.Now().Add(5 * time.Second)
-	for faultinject.Fired("server.model.eval") == 0 {
+	for faultinject.Fired("server.batcher.flush") == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("slow request never reached the eval site")
+			t.Fatal("slow request never reached the flush site")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -366,61 +366,5 @@ func TestTenantModelAndPointQuotas(t *testing.T) {
 	putResp.Body.Close()
 	if putResp.StatusCode != http.StatusOK {
 		t.Fatalf("unquota'd stage -> %d, want 200", putResp.StatusCode)
-	}
-}
-
-// TestFaultTenantBreakerIsolation: one tenant's eval failures trip only
-// that tenant's breaker — the other tenant's same-named model keeps
-// serving with no degradation. Runs in `make faults` via the TestFault
-// name prefix.
-func TestFaultTenantBreakerIsolation(t *testing.T) {
-	faultinject.Reset()
-	defer faultinject.Reset()
-	opt := resilientOptions()
-	opt.RetryMax = -1 // one request = one breaker-visible attempt
-	s := tenantServer(t, opt)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	// Prime acme so its later answers have a healthy reference.
-	probe := `{"point":[0.5,-0.5]}`
-	st, _, acmeBefore := postRaw(t, ts.URL+"/v1/t/acme/models/blobs/density", probe)
-	if st != http.StatusOK {
-		t.Fatalf("prime acme: %d", st)
-	}
-
-	// Exactly two injected failures, both spent on default-tenant
-	// requests: enough for resilientOptions' threshold of 2.
-	if err := faultinject.Arm("server.model.eval", faultinject.Spec{Times: 2}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		st, _, _ := postRaw(t, ts.URL+"/v1/models/blobs/density",
-			fmt.Sprintf(`{"points":[[3,%d]]}`, i))
-		if st != http.StatusBadGateway {
-			t.Fatalf("trip request %d -> %d, want 502", i, st)
-		}
-	}
-	faultinject.Disarm("server.model.eval")
-
-	if got := s.breakerFor(DefaultTenant, "blobs").currentState(); got != breakerOpen {
-		t.Fatalf("default breaker = %v, want open", got)
-	}
-	if got := s.breakerFor("acme", "blobs").currentState(); got != breakerClosed {
-		t.Fatalf("acme breaker = %v, want closed (isolation)", got)
-	}
-
-	// Default is refused fast (no stale entry for a fresh point)...
-	st, _, resp := postRaw(t, ts.URL+"/v1/models/blobs/density", `{"points":[[7,7]]}`)
-	if st != http.StatusServiceUnavailable || !strings.Contains(resp, "circuit_open") {
-		t.Fatalf("default while open -> %d %q, want 503 circuit_open", st, resp)
-	}
-	// ...while acme still serves, bit-identically and undegraded.
-	st, hdr, acmeAfter := postRaw(t, ts.URL+"/v1/t/acme/models/blobs/density", probe)
-	if st != http.StatusOK || densityBits(t, acmeAfter) != densityBits(t, acmeBefore) {
-		t.Fatalf("acme while default's breaker is open: %d, %q vs %q", st, acmeAfter, acmeBefore)
-	}
-	if hdr.Get("X-UDM-Degraded") != "" {
-		t.Fatal("acme answer degraded by default's breaker")
 	}
 }

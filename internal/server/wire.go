@@ -109,8 +109,8 @@ func SplitModelRef(ref string) (tenant, name string) {
 
 // ModelRef joins (tenant, name) into the canonical reference: the plain
 // name in the default tenant, "tenant/name" elsewhere. It is the form
-// flags, spans, errors and breaker labels use, so "default/x" and "x"
-// are one model and single-tenant dashboards stay unchanged.
+// flags, spans and errors use, so "default/x" and "x" are one model
+// and single-tenant dashboards stay unchanged.
 func ModelRef(tenant, name string) string {
 	if tenant == DefaultTenant {
 		return name
@@ -169,6 +169,18 @@ func errorRows(model string, dims int, errs [][]float64) error {
 	return nil
 }
 
+// subspace checks that every requested subspace dimension indexes a
+// model dims wide.
+func subspace(dims int, sub []int) error {
+	for _, j := range sub {
+		if j < 0 || j >= dims {
+			return fmt.Errorf("server: subspace dimension %d out of range [0,%d): %w",
+				j, dims, udmerr.ErrDimensionMismatch)
+		}
+	}
+	return nil
+}
+
 // Validate checks a classify request against a model dims wide and
 // returns its rows, and whether it used the single-point form.
 func (req *classifyRequest) Validate(model string, dims int) (rows [][]float64, single bool, err error) {
@@ -186,11 +198,8 @@ func (req *densityRequest) Validate(w http.ResponseWriter, r *http.Request, mode
 	if rows, single, err = points(model, dims, req.Point, req.Points); err != nil {
 		return nil, false, acc, bk, err
 	}
-	for _, j := range req.Dims {
-		if j < 0 || j >= dims {
-			return nil, false, acc, bk, fmt.Errorf("server: subspace dimension %d out of range [0,%d): %w",
-				j, dims, udmerr.ErrDimensionMismatch)
-		}
+	if err = subspace(dims, req.Dims); err != nil {
+		return nil, false, acc, bk, err
 	}
 	acc, ok := kernel.ParseAccuracy(req.Accuracy, req.Epsilon)
 	if !ok {
@@ -212,10 +221,13 @@ func (req *densityRequest) Validate(w http.ResponseWriter, r *http.Request, mode
 	return rows, single, acc, bk, nil
 }
 
-// Validate checks an outliers request's points and error rows against
-// a model dims wide.
+// Validate checks an outliers request's points, subspace dimensions
+// and error rows against a model dims wide.
 func (req *outliersRequest) Validate(model string, dims int) error {
 	if _, _, err := points(model, dims, nil, req.Points); err != nil {
+		return err
+	}
+	if err := subspace(dims, req.Dims); err != nil {
 		return err
 	}
 	return errorRows(model, dims, req.Errors)

@@ -163,11 +163,16 @@ func (e *Engine) Snapshots() []Snapshot {
 
 // Summarizer returns a deep snapshot of the current micro-cluster state
 // as a standalone Summarizer, ready for density estimation or
-// clustering.
+// clustering. An engine that holds no records yet has nothing to
+// summarize: the error wraps udmerr.ErrUntrained.
 func (e *Engine) Summarizer() (*microcluster.Summarizer, error) {
 	e.mu.Lock()
+	n := e.n
 	feats := e.featsCopyLocked()
 	e.mu.Unlock()
+	if n == 0 {
+		return nil, fmt.Errorf("stream: engine holds no records: %w", udmerr.ErrUntrained)
+	}
 	return microcluster.FromFeatures(feats)
 }
 

@@ -28,10 +28,11 @@
 //     checkpoint artifacts). Fix or regenerate the data.
 //   - ErrInjected: a deliberate fault from internal/faultinject fired at
 //     this site. Transient by construction; retry or disarm the plan.
-//   - ErrCircuitOpen: the model's circuit breaker is open and the
-//     operation was refused without touching the backend. Retry later.
-//   - ErrDegraded: degraded mode (stale answers while the breaker is
-//     open) had nothing cached for this request. Retry later.
+//   - ErrCircuitOpen: a shard's circuit breaker (in udmproxy's shard
+//     client) is open and the RPC was refused without contacting the
+//     shard. Retry later.
+//   - ErrDegraded: a partitioned fan-out had no surviving shard to
+//     answer from, so not even a partial answer exists. Retry later.
 //   - ErrStaleVersion: a distributed partial evaluation was requested
 //     against a model version the shard has moved past (or not yet
 //     reached). Refresh the coordinating summary and retry.
@@ -78,16 +79,16 @@ var (
 	// active. Resilience layers treat it as a transient backend fault.
 	ErrInjected = errors.New("injected fault")
 
-	// ErrCircuitOpen reports an operation refused because the model's
-	// circuit breaker is open: the backing model failed repeatedly and
-	// the serving layer is shedding work to let it recover. Retry after
-	// the breaker's cooldown.
+	// ErrCircuitOpen reports a shard RPC refused because that shard's
+	// circuit breaker is open: the shard failed repeatedly and the
+	// proxy is shedding work to let it recover. Retry after the
+	// breaker's cooldown.
 	ErrCircuitOpen = errors.New("circuit open")
 
-	// ErrDegraded reports that degraded mode — serving cached or stale
-	// answers while the circuit breaker is open — could not produce an
-	// answer for this request (no stale value available). Retry after
-	// the breaker's cooldown.
+	// ErrDegraded reports that a partitioned fan-out could not produce
+	// even a degraded (partial) answer: no shard survived — each one
+	// failed or had its breaker open. Retry after the breakers'
+	// cooldown.
 	ErrDegraded = errors.New("degraded mode cannot serve request")
 
 	// ErrStaleVersion reports a distributed partial evaluation pinned

@@ -18,10 +18,10 @@
 #     Bit-identity now spans tenant-salted hash routing and the
 #     fan-out merge.
 #
-#   chaos: the serve topology with injected evaluation faults
-#     (server.model.eval error bursts). Errors and shed requests are
+#   chaos: the serve topology with injected batch-flush faults
+#     (server.batcher.flush error bursts). Errors and shed requests are
 #     expected and tolerated — what must still hold is isolation:
-#     zero violations under failure, retry, and breaker churn.
+#     zero violations under failure churn.
 #
 # Tunables (environment): LOADTEST_STREAMS (default 1000 streams per
 # tenant), LOADTEST_REQUESTS (default 4 requests per stream),
@@ -166,14 +166,14 @@ proxy_stage() {
 
 chaos_stage() {
   local base="http://127.0.0.1:${PORT}"
-  echo "loadtest[chaos]: serve topology under injected eval faults"
+  echo "loadtest[chaos]: serve topology under injected batch-flush faults"
   make_checkpoint 31 "$TMP/c_t1.gob"
   make_checkpoint 32 "$TMP/c_t2.gob"
   "$TMP/udmserve" -addr "127.0.0.1:${PORT}" -no-checkpoint \
     -model "t1/live=stream:$TMP/c_t1.gob" \
     -model "t2/live=stream:$TMP/c_t2.gob" \
     -tenant-inflight 128 \
-    -fault 'server.model.eval=error,prob=0.02,seed=7' 2>"$TMP/chaos.log" &
+    -fault 'server.batcher.flush=error,prob=0.02,seed=7' 2>"$TMP/chaos.log" &
   local pid=$!
   PIDS+=("$pid")
   wait_ready "$base/readyz" "$pid" "$TMP/chaos.log"

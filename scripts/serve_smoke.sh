@@ -151,8 +151,10 @@ serve_stage() {
     -save "$TMP/model.gob" >/dev/null
 
   # Requests pick the accuracy mode, so a model-wide one is refused at
-  # startup (timeout turns a server that listens anyway into rc 124),
-  # and the removed -prune flag (now -eval prune=...) is a usage error.
+  # startup (timeout turns a server that listens anyway into rc 124);
+  # the removed -prune flag (now -eval prune=...) and the removed
+  # retry/breaker flags (udmserve has no retry loop; udmproxy keeps
+  # them for its shard RPCs) are usage errors.
   echo "serve-smoke: refused startup configurations"
   local rc=0
   timeout 10 "$TMP/udmserve" -addr "127.0.0.1:${PORT}" -eval 'accuracy=approx(0.01)' \
@@ -173,6 +175,15 @@ serve_stage() {
     exit 1
   fi
   echo "serve-smoke: ok: -prune is a usage error (exit 2)"
+  rc=0
+  timeout 10 "$TMP/udmserve" -addr "127.0.0.1:${PORT}" -retry-max 1 \
+    -model "blobs=transform:$TMP/model.gob" 2>"$TMP/refused.log" || rc=$?
+  if [ "$rc" != 2 ]; then
+    echo "serve-smoke: FAIL: -retry-max exited $rc, want 2 (unknown flag)" >&2
+    cat "$TMP/refused.log" >&2
+    exit 1
+  fi
+  echo "serve-smoke: ok: -retry-max is a usage error (exit 2)"
 
   echo "serve-smoke: starting udmserve on $base"
   "$TMP/udmserve" -addr "127.0.0.1:${PORT}" -debug \

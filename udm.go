@@ -130,11 +130,11 @@ var (
 	// site (internal/faultinject) — it never occurs in production
 	// configurations, where every site is disarmed.
 	ErrInjected = udmerr.ErrInjected
-	// ErrCircuitOpen reports a request refused fast because the serving
-	// layer's circuit breaker for the target model is open.
+	// ErrCircuitOpen reports a shard RPC refused fast because the
+	// proxy's circuit breaker for that shard is open.
 	ErrCircuitOpen = udmerr.ErrCircuitOpen
-	// ErrDegraded reports a request the serving layer could not satisfy
-	// even in degraded mode (breaker open and no stale answer cached).
+	// ErrDegraded reports a partitioned fan-out with no surviving shard:
+	// the proxy could not produce even a partial answer.
 	ErrDegraded = udmerr.ErrDegraded
 )
 
