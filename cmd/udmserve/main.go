@@ -137,7 +137,7 @@ func main() {
 		addr         = flag.String("addr", ":8080", "listen address")
 		threshold    = flag.Float64("a", 0, "classifier accuracy threshold for transform models (0 = default)")
 		errorAdjust  = flag.Bool("error-adjust", true, "use the error-adjusted kernel for density and outliers")
-		evalStr      = flag.String("eval", "", "evaluation policy for every model, e.g. prune=0.01,epsilon=0.05 (evalopt grammar; requests pick backend and accuracy per call, so neither key is accepted here)")
+		evalStr      = flag.String("eval", "", "evaluation policy for every model: the evalopt keys prune, epsilon and cells, e.g. prune=0.01,epsilon=0.05 (requests pick backend and accuracy per call, and q and seed only size summaries built from raw rows, so those keys are refused)")
 		maxBatch     = flag.Int("max-batch", 0, "max coalesced requests per batched call (0 = default 64)")
 		timeout      = flag.Duration("timeout", 0, "per-request timeout (0 = default 30s)")
 		maxInflight  = flag.Int("max-inflight", 0, "max concurrently admitted requests before 429 shedding (0 = default 256)")

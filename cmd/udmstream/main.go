@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -176,7 +177,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		res, err := outlier.DetectStream(s, queries.X, queries.Err, outlier.Options{
+		res, err := outlier.DetectStream(context.Background(), s, queries.X, queries.Err, outlier.Options{
 			Contamination: *contamination,
 			UseQueryError: queries.HasErrors(),
 			KDE:           kde.Options{ErrorAdjust: ds.HasErrors()},

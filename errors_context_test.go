@@ -25,17 +25,11 @@ func TestSentinelErrorContract(t *testing.T) {
 		t.Errorf("empty dataset: %v, want ErrUntrained", err)
 	}
 
-	// Error-adjusted smoothing is Gaussian-only: a contradictory option
-	// set is ErrBadOption.
 	if err := ds.Append([]float64{1, 2}, []float64{0.1, 0.1}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := ds.Append([]float64{2, 3}, []float64{0.1, 0.1}, 1); err != nil {
 		t.Fatal(err)
-	}
-	_, err := udm.NewPointDensity(ds, udm.DensityOptions{ErrorAdjust: true, Kernel: udm.Epanechnikov})
-	if !errors.Is(err, udm.ErrBadOption) {
-		t.Errorf("error-adjust + non-Gaussian kernel: %v, want ErrBadOption", err)
 	}
 
 	// Mixing error-free and error-bearing rows is ErrNoErrors.

@@ -1,6 +1,7 @@
 package udm_test
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -188,7 +189,7 @@ func TestFullStreamPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := [][]float64{{0, 0}, {5, 0}, {50, 50}}
-	out, err := udm.DetectStreamOutliers(live, queries, nil, udm.OutlierOptions{
+	out, err := udm.DetectStreamOutliers(context.Background(), live, queries, nil, udm.OutlierOptions{
 		Contamination: 0.3, // top-1 of the three queries
 		KDE:           udm.DensityOptions{ErrorAdjust: true},
 	})

@@ -215,6 +215,20 @@ func TestProxyAdmissionTimeout(t *testing.T) {
 	}
 }
 
+// TestProxyOutliersTimeout: /outliers honours the request deadline. The
+// head is pre-warmed, so the deadline lands on the scoring, not on the
+// head build.
+func TestProxyOutliersTimeout(t *testing.T) {
+	p, url := tenantProxy(t, Options{Server: server.Options{RequestTimeout: time.Nanosecond}}, "acme")
+	if _, err := p.Coordinator("acme/live").CurrentHead(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	st, _, eb := send(t, url+"/v1/t/acme/models/live/outliers", "", `{"points":[[0,0],[5,5]]}`)
+	if st != http.StatusGatewayTimeout || eb.Error.Code != "timeout" {
+		t.Fatalf("got %d %q, want 504 timeout", st, eb.Error.Code)
+	}
+}
+
 // TestProxyAdmissionBadTenant: an invalid tenant id is refused up front
 // with the id it was given, by header on the legacy path and by path
 // segment.

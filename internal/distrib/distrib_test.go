@@ -527,3 +527,101 @@ func TestProxyOutliersPartitioned(t *testing.T) {
 		t.Fatal("far point not flagged as outlier")
 	}
 }
+
+// TestProxyEmptyShard: a partitioned model serves while one shard holds
+// no records yet. The empty shard is a zero-weight part of the head,
+// so batch, single-point and outliers answers are bit-identical to a
+// single node serving the other shard's summary, with no degraded
+// marker. Once the empty shard receives records — behind the proxy's
+// back (its version-0 pin goes stale) or routed by the proxy's own
+// ingest — answers equal a single node over the union.
+func TestProxyEmptyShard(t *testing.T) {
+	engines := splitEngines(t, testRows(t, 400, 53), 1)
+	empty, err := stream.NewEngine(stream.Options{MicroClusters: 12, Dims: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines = append(engines, empty)
+	p, err := NewProxy(startShards(t, engines), []ModelConfig{
+		{Name: "live", Mode: ModePartitioned, Dims: 2, KDE: testKDE},
+	}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	px := httptest.NewServer(p.Handler())
+	t.Cleanup(px.Close)
+	sumA, err := engines[0].Summarizer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := server.NewRegistry()
+	m, err := server.NewSummarizerModel("live", sumA, testKDE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Add(m); err != nil {
+		t.Fatal(err)
+	}
+	onlyA := httptest.NewServer(server.New(reg, server.Options{}).Handler())
+	t.Cleanup(onlyA.Close)
+
+	queries := testQueries(12, 5)
+	compare := func(label, single string) {
+		t.Helper()
+		var got, want server.DensityResponse
+		if s := postJSON(t, px.URL+"/v1/models/live/density", server.DensityRequest{Points: queries}, &got); s != 200 {
+			t.Fatalf("%s: proxy batch density %d", label, s)
+		}
+		if s := postJSON(t, single+"/v1/models/live/density", server.DensityRequest{Points: queries}, &want); s != 200 {
+			t.Fatalf("%s: single-node density %d", label, s)
+		}
+		bitsEqual(t, label+" batch", got.Densities, want.Densities)
+		if got.Coverage != 0 { // set exactly when X-UDM-Degraded is
+			t.Fatalf("%s: answer carries coverage %v", label, got.Coverage)
+		}
+		var pg, pw server.DensityResponse
+		if s := postJSON(t, px.URL+"/v1/models/live/density", server.DensityRequest{Point: queries[0]}, &pg); s != 200 || pg.Density == nil {
+			t.Fatalf("%s: proxy single-point density %d", label, s)
+		}
+		postJSON(t, single+"/v1/models/live/density", server.DensityRequest{Point: queries[0]}, &pw)
+		bitsEqual(t, label+" single-point", []float64{*pg.Density}, []float64{*pw.Density})
+		req := server.OutliersRequest{Points: queries, Contamination: 0.2}
+		var og, ow server.OutliersResponse
+		if s := postJSON(t, px.URL+"/v1/models/live/outliers", req, &og); s != 200 {
+			t.Fatalf("%s: proxy outliers %d", label, s)
+		}
+		postJSON(t, single+"/v1/models/live/outliers", req, &ow)
+		bitsEqual(t, label+" outliers", og.Scores, ow.Scores)
+	}
+
+	degraded := p.Metrics().Degraded.Load()
+	compare("shard b empty", onlyA.URL)
+	if got := p.Metrics().Degraded.Load(); got != degraded {
+		t.Fatalf("an empty shard counted as degraded: %d -> %d", degraded, got)
+	}
+
+	// Shard b gets a record behind the proxy's back: the cached head's
+	// version-0 pin is stale and the fan-out re-pins.
+	engines[1].Add([]float64{0.5, -0.25}, nil, 1)
+	compare("after a direct add", mergedComparator(t, engines))
+
+	// The proxy's own ingest, of records the ring routes to b.
+	ring, err := NewRing(2, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var toB [][]float64
+	for _, x := range testRows(t, 200, 54) {
+		if ring.OwnerPoint(x) == 1 {
+			toB = append(toB, x)
+		}
+	}
+	before := engines[1].Count()
+	if s := postJSON(t, px.URL+"/v1/models/live/ingest", server.IngestRequest{Points: toB}, nil); s != 200 {
+		t.Fatalf("ingest status %d", s)
+	}
+	if got := engines[1].Count(); got != before+len(toB) || engines[0].Count() != 400 {
+		t.Fatalf("shard counts a=%d b=%d, want 400 and %d", engines[0].Count(), got, before+len(toB))
+	}
+	compare("after ingest", mergedComparator(t, engines))
+}

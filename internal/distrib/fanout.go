@@ -100,7 +100,9 @@ func (c *Coordinator) Dims() int { return c.dims }
 // after invalidation). Head builds are all-or-nothing: a merged view
 // missing a shard would silently change the answer, so a shard that
 // cannot even serve its summary fails the build rather than shrinking
-// the merge.
+// the merge. A shard that holds no records yet (its summary answers
+// ErrUntrained) is an empty part — weight 0, version 0, no clusters —
+// and only a model whose every shard is empty is untrained.
 func (c *Coordinator) CurrentHead(ctx context.Context) (*Head, error) {
 	c.mu.Lock()
 	h := c.head
@@ -118,6 +120,9 @@ func (c *Coordinator) refreshHead(ctx context.Context) (*Head, error) {
 	}
 	parts, err := parallel.Map(ctx, len(c.shards), c.workers, func(i int) (part, error) {
 		sum, v, err := c.shards[i].Summary(ctx, c.model)
+		if errors.Is(err, udmerr.ErrUntrained) {
+			return part{}, nil // an empty shard: no summary, version 0
+		}
 		if err != nil {
 			return part{}, err
 		}
@@ -126,15 +131,22 @@ func (c *Coordinator) refreshHead(ctx context.Context) (*Head, error) {
 	if err != nil {
 		return nil, fmt.Errorf("distrib: model %q: head build: %w", c.model, err)
 	}
-	sums := make([]*microcluster.Summarizer, len(parts))
+	var sums []*microcluster.Summarizer
 	versions := make([]uint64, len(parts))
 	weights := make([]float64, len(parts))
 	var total float64
 	for i, p := range parts {
-		sums[i] = p.sum
+		if p.sum == nil {
+			continue
+		}
+		sums = append(sums, p.sum)
 		versions[i] = p.v
 		weights[i] = float64(p.sum.Count())
 		total += weights[i]
+	}
+	if len(sums) == 0 {
+		return nil, fmt.Errorf("distrib: model %q: head build: all %d shards hold no records: %w",
+			c.model, len(parts), udmerr.ErrUntrained)
 	}
 	merged, err := microcluster.MergeSummarizers(sums...)
 	if err != nil {
@@ -188,7 +200,10 @@ func (c *Coordinator) InvalidateHead() {
 // surviving mass; coverage reports the fraction of the head's total
 // mass that answered, and the proxy surfaces it as
 // X-UDM-Degraded: partial. A shard answering 409 stale_version forces
-// a head refresh and a re-scatter, bounded by RefreshMax.
+// a head refresh and a re-scatter, bounded by RefreshMax. A shard that
+// was empty at head build and still answers untrained is live with no
+// terms; once it holds records it answers the version-0 pin with
+// stale_version, which refreshes the head.
 func (c *Coordinator) Density(ctx context.Context, points [][]float64, dims []int) (ds []float64, coverage float64, err error) {
 	ctx, sp := obs.StartSpan(ctx, "proxy.fanout")
 	defer sp.End()
@@ -214,6 +229,9 @@ func (c *Coordinator) Density(ctx context.Context, points [][]float64, dims []in
 					Bandwidths: h.Bandwidths, Version: h.Versions[i],
 				}
 				resp, err := c.shards[i].Partial(ctx, c.model, req)
+				if err != nil && h.Weights[i] == 0 && errors.Is(err, udmerr.ErrUntrained) {
+					resp, err = server.PartialResponse{Terms: make([][]float64, len(points))}, nil
+				}
 				if err != nil {
 					errs[i] = err
 					continue
@@ -289,6 +307,7 @@ func failover(err error) bool {
 		errors.Is(err, udmerr.ErrDimensionMismatch),
 		errors.Is(err, udmerr.ErrBadOption),
 		errors.Is(err, udmerr.ErrNoErrors),
+		errors.Is(err, udmerr.ErrBadData),
 		errors.Is(err, udmerr.ErrUntrained),
 		errors.Is(err, udmerr.ErrStaleVersion):
 		return false

@@ -81,7 +81,8 @@ func TestProxyServerWireParity(t *testing.T) {
 	}
 	single := httptest.NewServer(server.New(reg, server.Options{}).Handler())
 	t.Cleanup(single.Close)
-	p, err := NewProxy(startShards(t, splitEngines(t, rows, 2)), []ModelConfig{
+	engines := splitEngines(t, rows, 2)
+	p, err := NewProxy(startShards(t, engines), []ModelConfig{
 		{Name: "live", Mode: ModePartitioned, Dims: 2, KDE: testKDE},
 	}, Options{})
 	if err != nil {
@@ -130,6 +131,27 @@ func TestProxyServerWireParity(t *testing.T) {
 			t.Errorf("%s: proxy echoes accuracy %q backend %q, udmserve %q %q",
 				tc.name, got.accuracy, got.backend, want.accuracy, want.backend)
 		}
+	}
+	// An ingest that would overflow a Definition-1 sum — a huge value, a
+	// huge error, or a column whose squares sum past MaxFloat64 — is
+	// refused with 400 bad_data on both tiers. The proxy refuses before
+	// routing, so no shard applies the batch's good records either.
+	sharded := engines[0].Count() + engines[1].Count()
+	for _, body := range []string{
+		`{"points":[[0.25,-0.5],[1,2],[-3,0.5],[2,-1],[0,0],[-1,-1],[3,3],[1e200,1e200]]}`,
+		`{"points":[[0.25,-0.5]],"errors":[[0.1,1e200]]}`,
+		`{"points":[[1.3e154,0],[1.3e154,0]]}`,
+	} {
+		path := "/v1/models/live/ingest"
+		want, _ := postWire(t, single.URL+path, body, nil)
+		got, _ := postWire(t, px.URL+path, body, nil)
+		if want.status != http.StatusBadRequest || want.code != "bad_data" || got.status != want.status || got.code != want.code {
+			t.Errorf("ingest %s: udmserve %d %q, proxy %d %q, want 400 bad_data on both",
+				body, want.status, want.code, got.status, got.code)
+		}
+	}
+	if got := engines[0].Count() + engines[1].Count(); got != sharded {
+		t.Errorf("refused ingests left %d records on the shards, want %d", got, sharded)
 	}
 }
 

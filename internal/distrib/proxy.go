@@ -421,7 +421,7 @@ func (p *Proxy) handleOutliers(w http.ResponseWriter, r *http.Request) {
 		p.front.Fail(w, err)
 		return
 	}
-	resp, err := server.ScoreOutliers(head.Sum, pm.cfg.KDE, req)
+	resp, err := server.ScoreOutliers(r.Context(), head.Sum, pm.cfg.KDE, req)
 	if err != nil {
 		p.front.Fail(w, err)
 		return

@@ -76,12 +76,11 @@ type Options struct {
 	// contribution is below Prune times the density are skipped, so
 	// every batch result is within relative error Prune. 0 disables,
 	// keeping batches bit-identical to the per-query methods, which
-	// never prune. Requires the Gaussian kernel.
+	// never prune.
 	Prune float64
 	// Accuracy selects exact kernel evaluation (the zero value) or the
 	// bounded-error fast-exponential surrogate (kernel.Approx(ε)) on
-	// the kde batch paths; the per-query methods stay exact. Requires
-	// the Gaussian kernel when non-exact.
+	// the kde batch paths; the per-query methods stay exact.
 	Accuracy kernel.AccuracyMode
 	// Seed drives the micro backend's summarization order. 0 means
 	// seed 1.

@@ -13,22 +13,13 @@ import (
 // BatchOptions-taking forms in batchopts.go call them, after resolving
 // the context (never nil).
 
-// QEstimator is an Estimator that can also evaluate the expected
-// density at an uncertain query point (a query with its own per-
-// dimension standard errors). Both PointKDE and ClusterKDE satisfy it.
-type QEstimator interface {
-	Estimator
-	// DensityQ returns E[f(X)] for X ~ N(x, diag(qerr²)) over dims.
-	DensityQ(x, qerr []float64, dims []int) float64
-}
-
 // densityBatch is the engine behind DensityBatchOpts: it fans the rows
-// of X out over up to parallel.Workers(workers) goroutines, through
-// the SoA column engine when est carries one and the scalar DensitySub
-// fallback otherwise. Every result is written to its own slot, so the
-// output is bit-for-bit identical for every worker count. Estimators
-// are read-only after construction and therefore safe to share across
-// the workers. Cancelling ctx aborts the batch and returns ctx.Err().
+// of X out over up to parallel.Workers(workers) goroutines through
+// est's SoA column engine. Every result is written to its own slot, so
+// the output is bit-for-bit identical for every worker count.
+// Estimators are read-only after construction and therefore safe to
+// share across the workers. Cancelling ctx aborts the batch and returns
+// ctx.Err().
 func densityBatch(ctx context.Context, est Estimator, X [][]float64, dims []int, workers int) ([]float64, error) {
 	ctx, sp := obs.StartSpan(ctx, "kde.DensityBatch")
 	defer sp.End()
@@ -39,32 +30,15 @@ func densityBatch(ctx context.Context, est Estimator, X [][]float64, dims []int,
 		return nil, err
 	}
 	sp.Attr("points", len(X)).Attr("dims", len(dims))
-	if e := fastEngine(est); e != nil {
-		return parallel.MapChunks(ctx, len(X), workers, func(start, end int, out []float64) error {
-			sc := e.scratch()
-			defer e.release(sc)
-			for i := start; i < end; i++ {
-				out[i-start] = e.density(X[i], dims, sc)
-			}
-			return nil
-		})
-	}
-	return parallel.Map(ctx, len(X), workers, func(i int) (float64, error) {
-		return est.DensitySub(X[i], dims), nil
+	e := est.soa()
+	return parallel.MapChunks(ctx, len(X), workers, func(start, end int, out []float64) error {
+		sc := e.scratch()
+		defer e.release(sc)
+		for i := start; i < end; i++ {
+			out[i-start] = e.density(X[i], dims, sc)
+		}
+		return nil
 	})
-}
-
-// fastEngine returns est's SoA engine, or nil when the estimator has
-// none (non-Gaussian kernel, or an estimator type from outside this
-// package).
-func fastEngine(est Estimator) *engine {
-	switch k := est.(type) {
-	case *PointKDE:
-		return k.eng
-	case *ClusterKDE:
-		return k.eng
-	}
-	return nil
 }
 
 // densityQBatch is the engine behind DensityQBatchOpts: row i is
@@ -72,7 +46,7 @@ func fastEngine(est Estimator) *engine {
 // kernel. Qerr may be nil (all queries certain, reducing to
 // densityBatch) and individual Qerr rows may be nil (that query is
 // certain). Results are bit-for-bit identical for every worker count.
-func densityQBatch(ctx context.Context, est QEstimator, X, Qerr [][]float64, dims []int, workers int) ([]float64, error) {
+func densityQBatch(ctx context.Context, est Estimator, X, Qerr [][]float64, dims []int, workers int) ([]float64, error) {
 	ctx, sp := obs.StartSpan(ctx, "kde.DensityQBatch")
 	defer sp.End()
 	densityQBatches.Inc()
@@ -90,30 +64,24 @@ func densityQBatch(ctx context.Context, est QEstimator, X, Qerr [][]float64, dim
 			return nil, fmt.Errorf("kde: query-error row %d has %d dims, estimator has %d: %w", i, len(er), est.Dims(), udmerr.ErrDimensionMismatch)
 		}
 	}
-	if e := fastEngine(est); e != nil {
-		return parallel.MapChunks(ctx, len(X), workers, func(start, end int, out []float64) error {
-			sc := e.scratch()
-			defer e.release(sc)
-			for i := start; i < end; i++ {
-				var qe []float64
-				if Qerr != nil {
-					qe = Qerr[i]
-				}
-				out[i-start] = e.densityQ(X[i], qe, dims, sc)
+	e := est.soa()
+	return parallel.MapChunks(ctx, len(X), workers, func(start, end int, out []float64) error {
+		sc := e.scratch()
+		defer e.release(sc)
+		for i := start; i < end; i++ {
+			var qe []float64
+			if Qerr != nil {
+				qe = Qerr[i]
 			}
-			return nil
-		})
-	}
-	return parallel.Map(ctx, len(X), workers, func(i int) (float64, error) {
-		if Qerr == nil {
-			return est.DensityQ(X[i], nil, dims), nil
+			out[i-start] = e.densityQ(X[i], qe, dims, sc)
 		}
-		return est.DensityQ(X[i], Qerr[i], dims), nil
+		return nil
 	})
 }
 
-// batchDims validates the query rows and the dimension subset for a
-// batch evaluation, resolving a nil dims to all dimensions.
+// batchDims is the one input check of the batch entry points: it
+// validates the query rows and the dimension subset, resolving a nil
+// dims to all dimensions.
 func batchDims(est Estimator, X [][]float64, dims []int) ([]int, error) {
 	d := est.Dims()
 	for i, x := range X {
@@ -143,14 +111,9 @@ func (k *PointKDE) leaveOneOutBatch(ctx context.Context, dims []int, workers int
 	sp.Attr("points", len(k.x))
 	looBatches.Inc()
 	kernelEvals.Add(int64(len(k.x)) * int64(len(k.x)-1))
-	if dims == nil {
-		dims = allDims(len(k.h))
-	} else {
-		for _, j := range dims {
-			if j < 0 || j >= len(k.h) {
-				return nil, fmt.Errorf("kde: subspace dimension %d out of range [0,%d): %w", j, len(k.h), udmerr.ErrDimensionMismatch)
-			}
-		}
+	dims, err := batchDims(k, nil, dims)
+	if err != nil {
+		return nil, err
 	}
 	return parallel.Map(ctx, len(k.x), workers, func(i int) (float64, error) {
 		return k.LeaveOneOutDensity(i, dims), nil

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"udm/internal/dataset"
-	"udm/internal/kernel"
 	"udm/internal/microcluster"
 	"udm/internal/rng"
 	"udm/internal/udmerr"
@@ -79,7 +78,7 @@ func TestDensityQBatchMatchesSerialExactly(t *testing.T) {
 			qerr[i] = []float64{0.3, 0.1, 0.2}
 		}
 	}
-	for name, est := range map[string]QEstimator{"point": pt, "cluster": cl} {
+	for name, est := range map[string]Estimator{"point": pt, "cluster": cl} {
 		dims := allDims(est.Dims())
 		want := make([]float64, ds.Len())
 		for i, x := range ds.X {
@@ -129,18 +128,6 @@ func TestDensityBatchValidation(t *testing.T) {
 	}
 	if _, err := DensityQBatchOpts(pt, ds.X, make([][]float64, ds.Len()-1), nil, two); !errors.Is(err, udmerr.ErrDimensionMismatch) {
 		t.Errorf("wrong Qerr row count: got %v, want ErrDimensionMismatch", err)
-	}
-	// Non-Gaussian kernels cannot evaluate uncertain queries.
-	lap, err := NewPoint(ds, Options{Kernel: kernel.Laplace})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qerr := make([][]float64, ds.Len())
-	for i := range qerr {
-		qerr[i] = []float64{0.1, 0.1, 0.1}
-	}
-	if _, err := DensityQBatchOpts(lap, ds.X, qerr, nil, two); !errors.Is(err, udmerr.ErrBadOption) {
-		t.Errorf("DensityQBatchOpts with Laplace kernel: got %v, want ErrBadOption", err)
 	}
 	// Empty batch is fine.
 	out, err := DensityBatchOpts(pt, nil, nil, BatchOptions{Workers: 4})

@@ -1,12 +1,6 @@
 package kde
 
-import (
-	"context"
-	"fmt"
-
-	"udm/internal/kernel"
-	"udm/internal/udmerr"
-)
+import "context"
 
 // This file is the batch-evaluation surface: one options-taking form
 // per operation (DensityBatchOpts, DensityQBatchOpts,
@@ -39,13 +33,11 @@ func (o BatchOptions) ctx() context.Context {
 // subset dims (nil means all dimensions) under opt. It is the one
 // batch entry point for plain (certain) queries.
 //
-// Gaussian-kernel estimators from this package run on the SoA column
-// engine — in the default exact configuration, bit-identical to the
-// per-query DensitySub path; with Options.Eval's Prune or a non-exact
-// Accuracy, within the configured relative budget. Every rung
-// internal/density builds is one of these types. Other estimators take
-// the scalar fallback. Every result is written to its own slot, so
-// output is bit-for-bit identical for every worker count.
+// Every estimator runs on its SoA column engine — in the default exact
+// configuration, bit-identical to the per-query DensitySub path; with
+// Options.Eval's Prune or a non-exact Accuracy, within the configured
+// relative budget. Every result is written to its own slot, so output
+// is bit-for-bit identical for every worker count.
 //
 // Malformed rows or dims surface as errors wrapping
 // udmerr.ErrDimensionMismatch, not panics.
@@ -58,10 +50,7 @@ func DensityBatchOpts(est Estimator, X [][]float64, dims []int, opt BatchOptions
 // into every kernel. Qerr may be nil (all queries certain, reducing to
 // DensityBatchOpts) and individual Qerr rows may be nil (that query is
 // certain).
-func DensityQBatchOpts(est QEstimator, X, Qerr [][]float64, dims []int, opt BatchOptions) ([]float64, error) {
-	if p, ok := est.(*PointKDE); ok && Qerr != nil && p.opt.Kernel != kernel.Gaussian {
-		return nil, fmt.Errorf("kde: DensityQBatchOpts requires the Gaussian kernel, got %v: %w", p.opt.Kernel, udmerr.ErrBadOption)
-	}
+func DensityQBatchOpts(est Estimator, X, Qerr [][]float64, dims []int, opt BatchOptions) ([]float64, error) {
 	return densityQBatch(opt.ctx(), est, X, Qerr, dims, opt.Workers)
 }
 

@@ -21,24 +21,31 @@ import (
 // over the full dimensionality or any subset of dimensions. Query points
 // are always full-dimensional rows; DensitySub uses only the coordinates
 // listed in dims.
+//
+// The unexported soa method seals the interface: PointKDE and ClusterKDE
+// are its only implementations, and the batch entry points run every
+// estimator on its SoA engine.
 type Estimator interface {
 	// Density returns the estimated density at x over all dimensions.
 	Density(x []float64) float64
 	// DensitySub returns the estimated joint density at x over the
 	// dimension subset dims.
 	DensitySub(x []float64, dims []int) float64
+	// DensityQ returns E[f(X)] for X ~ N(x, diag(qerr²)) over dims: the
+	// expected density at an uncertain query point. A nil qerr reduces
+	// to DensitySub.
+	DensityQ(x, qerr []float64, dims []int) float64
 	// Dims returns the dimensionality of the underlying data.
 	Dims() int
 	// Count returns the number of data points the estimate summarizes.
 	Count() int
+	// soa returns the estimator's SoA batch engine (soa.go).
+	soa() *engine
 }
 
-// Options configure a density estimator.
+// Options configure a density estimator over the paper's Gaussian
+// kernel (Eq. 2), widened per entry by Eq. 3–4.
 type Options struct {
-	// Kernel is the base kernel shape; the error-adjusted form is only
-	// defined for Gaussian (the paper's kernel), so ErrorAdjust requires
-	// Kernel == kernel.Gaussian.
-	Kernel kernel.Type
 	// Bandwidth selects the per-dimension smoothing rule; the zero value
 	// is the paper's Silverman rule.
 	Bandwidth kernel.Bandwidth
@@ -63,36 +70,12 @@ type Options struct {
 	Eval evalopt.Options
 }
 
-// validate checks Eval against its domains, then the rules that tie
-// options to the kernel family: error adjustment, pruning and the
-// approximate accuracy are defined for the Gaussian kernel only.
-func (o Options) validate() error {
-	if err := o.Eval.Validate(); err != nil {
-		return err
-	}
-	if o.Kernel == kernel.Gaussian {
-		return nil
-	}
-	switch {
-	case o.ErrorAdjust:
-		return fmt.Errorf("kde: error adjustment requires the Gaussian kernel, got %v: %w", o.Kernel, udmerr.ErrBadOption)
-	case o.Eval.Prune != 0:
-		return fmt.Errorf("kde: pruning requires the Gaussian kernel, got %v: %w", o.Kernel, udmerr.ErrBadOption)
-	case !o.Eval.Accuracy.IsExact():
-		return fmt.Errorf("kde: approximate accuracy requires the Gaussian kernel, got %v: %w", o.Kernel, udmerr.ErrBadOption)
-	}
-	return nil
-}
-
 // evalKernel evaluates the configured 1-D kernel contribution at x for a
 // center c, bandwidth h and error psi.
 func (o Options) evalKernel(x, c, h, psi float64) float64 {
 	if !o.ErrorAdjust || psi == 0 {
-		if o.Kernel == kernel.Gaussian {
-			// Equivalent to ErrAdjusted* with ψ=0; avoid the branch there.
-			return kernel.Gaussian.Eval(x, c, h)
-		}
-		return o.Kernel.Eval(x, c, h)
+		// Equivalent to ErrAdjusted* with ψ=0; avoid the branch there.
+		return kernel.Gaussian(x, c, h)
 	}
 	if o.PaperKernel {
 		return kernel.ErrAdjustedPaper(x, c, h, psi)
@@ -107,7 +90,7 @@ type PointKDE struct {
 	errs [][]float64 // nil when the data has no error information
 	h    []float64   // per-dimension bandwidth
 	opt  Options
-	eng  *engine // SoA batch engine; nil when no fast path applies
+	eng  *engine // SoA batch engine
 }
 
 var _ Estimator = (*PointKDE)(nil)
@@ -116,7 +99,7 @@ var _ Estimator = (*PointKDE)(nil)
 // Bandwidths are computed per dimension from the data using the
 // configured rule (Silverman by default, as in the paper).
 func NewPoint(ds *dataset.Dataset, opt Options) (*PointKDE, error) {
-	if err := opt.validate(); err != nil {
+	if err := opt.Eval.Validate(); err != nil {
 		return nil, err
 	}
 	h, err := RowBandwidths(ds, opt)
@@ -138,11 +121,11 @@ func NewPoint(ds *dataset.Dataset, opt Options) (*PointKDE, error) {
 // density paths run under the given accuracy mode; the underlying data,
 // bandwidths and spatial index are shared with the receiver, so the
 // copy is cheap enough for per-request use. Per-query methods stay
-// exact. Non-exact modes require the Gaussian kernel.
+// exact.
 func (k *PointKDE) WithAccuracy(m kernel.AccuracyMode) (*PointKDE, error) {
 	c := *k
 	c.opt.Eval.Accuracy = m
-	if err := c.opt.validate(); err != nil {
+	if err := c.opt.Eval.Validate(); err != nil {
 		return nil, err
 	}
 	c.eng = k.eng.withAccuracy(m)
@@ -151,6 +134,8 @@ func (k *PointKDE) WithAccuracy(m kernel.AccuracyMode) (*PointKDE, error) {
 
 // Dims returns the data dimensionality.
 func (k *PointKDE) Dims() int { return len(k.h) }
+
+func (k *PointKDE) soa() *engine { return k.eng }
 
 // Count returns the number of points in the estimate.
 func (k *PointKDE) Count() int { return len(k.x) }
@@ -196,16 +181,13 @@ func (k *PointKDE) factor(v float64, i, j int) float64 {
 // the query's own per-dimension standard errors qerr are folded into
 // every kernel's variance (variances add under independent Gaussian
 // noise), so the result is E[f(X)] for X ~ N(x, diag(qerr²)). A nil qerr
-// reduces to DensitySub. Only defined for the Gaussian kernel.
+// reduces to DensitySub.
 func (k *PointKDE) DensityQ(x, qerr []float64, dims []int) float64 {
 	if qerr == nil {
 		return k.DensitySub(x, dims)
 	}
 	if len(x) != len(k.h) || len(qerr) != len(k.h) {
 		panic(fmt.Sprintf("kde: query point/error have %d/%d dims, estimator has %d", len(x), len(qerr), len(k.h)))
-	}
-	if k.opt.Kernel != kernel.Gaussian {
-		panic("kde: DensityQ requires the Gaussian kernel")
 	}
 	checkDims(dims, len(k.h))
 	var sum float64
@@ -315,7 +297,7 @@ type ClusterKDE struct {
 	total   float64     // N = Σ n(C_i)
 	h       []float64
 	opt     Options
-	eng     *engine // SoA batch engine; nil when no fast path applies
+	eng     *engine // SoA batch engine
 }
 
 var _ Estimator = (*ClusterKDE)(nil)
@@ -329,7 +311,7 @@ var _ Estimator = (*ClusterKDE)(nil)
 // within-cluster variance — that spread is real data spread, not
 // measurement error — but the EF2 error statistics are ignored.
 func NewCluster(s *microcluster.Summarizer, opt Options) (*ClusterKDE, error) {
-	if err := opt.validate(); err != nil {
+	if err := opt.Eval.Validate(); err != nil {
 		return nil, err
 	}
 	h, err := SummaryBandwidths(s, opt)
@@ -365,7 +347,7 @@ func NewCluster(s *microcluster.Summarizer, opt Options) (*ClusterKDE, error) {
 func (k *ClusterKDE) WithAccuracy(m kernel.AccuracyMode) (*ClusterKDE, error) {
 	c := *k
 	c.opt.Eval.Accuracy = m
-	if err := c.opt.validate(); err != nil {
+	if err := c.opt.Eval.Validate(); err != nil {
 		return nil, err
 	}
 	c.eng = k.eng.withAccuracy(m)
@@ -374,6 +356,8 @@ func (k *ClusterKDE) WithAccuracy(m kernel.AccuracyMode) (*ClusterKDE, error) {
 
 // Dims returns the data dimensionality.
 func (k *ClusterKDE) Dims() int { return len(k.h) }
+
+func (k *ClusterKDE) soa() *engine { return k.eng }
 
 // Count returns the total number of points summarized.
 func (k *ClusterKDE) Count() int { return int(k.total) }
@@ -480,20 +464,26 @@ func SummaryBandwidths(s *microcluster.Summarizer, opt Options) ([]float64, erro
 }
 
 // explicitOrRule resolves per-dimension bandwidths: a copy of explicit
-// opt.Bandwidths when supplied (validated), otherwise the rule via
-// fromRule.
+// opt.Bandwidths when supplied, otherwise the rule via fromRule. Either
+// way every bandwidth must be positive and finite. The rules floor h at
+// MinH, so a rule-derived h is non-finite only when its input is:
+// non-finite data, such as overflowed Definition-1 sums, or a
+// non-finite Fixed value. That wraps udmerr.ErrBadData; a bad explicit
+// value wraps udmerr.ErrBadOption.
 func explicitOrRule(opt Options, d int, fromRule func(j int) float64) ([]float64, error) {
+	h := make([]float64, d)
 	if opt.Bandwidths == nil {
-		h := make([]float64, d)
-		for j := 0; j < d; j++ {
+		for j := range h {
 			h[j] = fromRule(j)
+			if math.IsNaN(h[j]) || math.IsInf(h[j], 0) {
+				return nil, fmt.Errorf("kde: %v bandwidth[%d] = %v is not finite: %w", opt.Bandwidth.Rule, j, h[j], udmerr.ErrBadData)
+			}
 		}
 		return h, nil
 	}
 	if len(opt.Bandwidths) != d {
 		return nil, fmt.Errorf("kde: %d explicit bandwidths for %d dimensions: %w", len(opt.Bandwidths), d, udmerr.ErrDimensionMismatch)
 	}
-	h := make([]float64, d)
 	for j, v := range opt.Bandwidths {
 		if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, fmt.Errorf("kde: explicit bandwidth[%d] = %v must be positive and finite: %w", j, v, udmerr.ErrBadOption)

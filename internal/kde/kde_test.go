@@ -35,10 +35,6 @@ func TestNewPointRejectsBadInput(t *testing.T) {
 	if _, err := NewPoint(dataset.New("x"), Options{}); err == nil {
 		t.Error("empty dataset accepted")
 	}
-	d := gauss2(10, 0, 1)
-	if _, err := NewPoint(d, Options{ErrorAdjust: true, Kernel: kernel.Epanechnikov}); err == nil {
-		t.Error("error adjustment with non-Gaussian kernel accepted")
-	}
 }
 
 func TestPointDensityIntegratesToOne(t *testing.T) {

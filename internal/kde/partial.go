@@ -5,7 +5,6 @@ import (
 
 	"udm/internal/kernel"
 	"udm/internal/parallel"
-	"udm/internal/udmerr"
 )
 
 // This file is the shard-side half of the distributed density protocol
@@ -63,26 +62,16 @@ func (k *ClusterKDE) PartialTerms(x []float64, dims []int, dst []float64) []floa
 // count. Malformed rows or dims surface as errors wrapping
 // udmerr.ErrDimensionMismatch, matching the batch density paths.
 func (k *ClusterKDE) PartialTermsBatch(X [][]float64, dims []int, opt BatchOptions) ([][]float64, error) {
-	d := len(k.h)
-	for i, x := range X {
-		if len(x) != d {
-			return nil, fmt.Errorf("kde: row %d has %d dims, estimator has %d: %w", i, len(x), d, udmerr.ErrDimensionMismatch)
-		}
-	}
-	for _, j := range dims {
-		if j < 0 || j >= d {
-			return nil, fmt.Errorf("kde: subspace dimension %d out of range [0,%d): %w", j, d, udmerr.ErrDimensionMismatch)
-		}
-	}
-	if dims == nil {
-		dims = allDims(d)
+	dims, err := batchDims(k, X, dims)
+	if err != nil {
+		return nil, err
 	}
 	nc := len(k.cents)
 	// One flat backing array for every row's terms, sliced per row —
 	// the batch allocates twice no matter how many rows or clusters.
 	flat := make([]float64, len(X)*nc)
 	out := make([][]float64, len(X))
-	err := parallel.For(opt.ctx(), len(X), opt.Workers, func(start, end int) error {
+	err = parallel.For(opt.ctx(), len(X), opt.Workers, func(start, end int) error {
 		for i := start; i < end; i++ {
 			row := flat[i*nc : (i+1)*nc : (i+1)*nc]
 			k.PartialTerms(X[i], dims, row)

@@ -17,7 +17,7 @@ import (
 //
 //  1. Zero uncertainty is a no-op: with all-zero error bars the
 //     error-adjusted estimator IS the plain Silverman KDE, bit for bit
-//     (ψ=0 routes through the identical kernel.Gaussian.Eval code path).
+//     (ψ=0 routes through the identical kernel.Gaussian code path).
 //  2. A density is a density: never negative, never NaN, finite
 //     wherever the query is finite.
 //  3. More uncertainty never sharpens: growing one point's ψ_j widens

@@ -79,18 +79,6 @@ func TestDensityQPanics(t *testing.T) {
 			fn()
 		}()
 	}
-	epan, err := NewPoint(d, Options{Kernel: kernel.Epanechnikov})
-	if err != nil {
-		t.Fatal(err)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("non-Gaussian DensityQ did not panic")
-			}
-		}()
-		epan.DensityQ([]float64{0, 0}, []float64{1, 1}, []int{0})
-	}()
 }
 
 func TestLeaveOneOutDensityQDirect(t *testing.T) {

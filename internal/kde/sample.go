@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"udm/internal/kernel"
 	"udm/internal/rng"
 	"udm/internal/udmerr"
 )
@@ -14,8 +13,7 @@ import (
 // (error-adjusted) Gaussian kernel. The draws are i.i.d. from exactly
 // the distribution Density integrates to (the normalized kernel form),
 // which makes Sample a synthetic-data generator: it publishes the
-// learned distribution, not the original records. Only defined for the
-// Gaussian kernel.
+// learned distribution, not the original records.
 func (k *PointKDE) Sample(n int, r *rng.Source) ([][]float64, error) {
 	if err := sampleArgs(k.opt, n, r); err != nil {
 		return nil, err
@@ -69,9 +67,6 @@ func sampleArgs(opt Options, n int, r *rng.Source) error {
 	}
 	if r == nil {
 		return fmt.Errorf("kde: nil random source: %w", udmerr.ErrBadOption)
-	}
-	if opt.Kernel != kernel.Gaussian {
-		return fmt.Errorf("kde: sampling requires the Gaussian kernel, got %v: %w", opt.Kernel, udmerr.ErrBadOption)
 	}
 	if opt.PaperKernel {
 		return fmt.Errorf("kde: sampling from the unnormalized paper kernel is undefined; use the normalized form: %w", udmerr.ErrBadOption)

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"udm/internal/kernel"
 	"udm/internal/microcluster"
 	"udm/internal/num"
 	"udm/internal/rng"
@@ -95,13 +94,6 @@ func TestSampleValidation(t *testing.T) {
 	}
 	if _, err := est.Sample(5, nil); err == nil {
 		t.Error("nil rng accepted")
-	}
-	epan, err := NewPoint(d, Options{Kernel: kernel.Epanechnikov})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := epan.Sample(5, rng.New(1)); err == nil {
-		t.Error("non-Gaussian sampling accepted")
 	}
 	paper, err := NewPoint(d, Options{ErrorAdjust: false, PaperKernel: true})
 	if err != nil {

@@ -41,9 +41,8 @@ const (
 )
 
 // engine is the SoA twin of an estimator: immutable after construction
-// and shared by all batch workers. It exists only for the Gaussian
-// kernel family (the paper's); estimators over other kernels keep a nil
-// engine and batches fall back to the scalar path.
+// and shared by all batch workers. Every PointKDE and ClusterKDE
+// carries one.
 type engine struct {
 	mode  soaMode
 	n     int     // entries (points or pseudo-points)
@@ -82,21 +81,12 @@ type engine struct {
 	pool *sync.Pool
 }
 
-// newEngine builds the SoA engine for an estimator, or returns (nil,
-// nil) when no fast path applies (non-Gaussian kernel, or degenerate
-// bandwidths that the scalar path would reject at query time). psis may
-// be nil (no per-entry errors); wts is non-nil only for cluster
-// estimators. An error is returned only when opt.Eval.Prune > 0 and the
-// spatial index cannot be built (e.g. non-finite centers).
+// newEngine builds the SoA engine for an estimator over positive,
+// finite bandwidths h (explicitOrRule guarantees them). psis may be nil
+// (no per-entry errors); a cluster estimator always passes its deltas
+// and weights wts. An error is returned only when opt.Eval.Prune > 0
+// and the spatial index cannot be built (e.g. non-finite centers).
 func newEngine(opt Options, h []float64, total float64, cents, psis [][]float64, wts []float64, cluster bool) (*engine, error) {
-	if opt.Kernel != kernel.Gaussian {
-		return nil, nil
-	}
-	for _, v := range h {
-		if !(v > 0) || math.IsInf(v, 1) {
-			return nil, nil
-		}
-	}
 	n, d := len(cents), len(h)
 	e := &engine{
 		n:     n,
@@ -127,7 +117,7 @@ func newEngine(opt Options, h []float64, total float64, cents, psis [][]float64,
 	switch e.mode {
 	case modeWidth:
 		// Per-entry width reproducing the scalar branch bit-for-bit:
-		// PointKDE uses h itself for ψ=0 (evalKernel's Gaussian.Eval
+		// PointKDE uses h itself for ψ=0 (evalKernel's kernel.Gaussian
 		// branch), ClusterKDE always computes √(h²+Δ²) even for Δ=0.
 		e.width = mapCols(e.psi, func(j int, p float64) float64 {
 			if !cluster && p == 0 {
@@ -145,11 +135,6 @@ func newEngine(opt Options, h []float64, total float64, cents, psis [][]float64,
 			return 2 * (h[j]*h[j] + p*p)
 		})
 	}
-	if e.mode == modePaperAll && e.psi == nil {
-		// A cluster estimator always has deltas, but keep the invariant
-		// explicit: paper modes require the ψ columns.
-		return nil, nil
-	}
 	if opt.Eval.Prune > 0 {
 		if err := e.buildIndex(cents, psis, wts); err != nil {
 			return nil, err
@@ -163,12 +148,8 @@ func newEngine(opt Options, h []float64, total float64, cents, psis [][]float64,
 }
 
 // withAccuracy returns a copy of e that evaluates under m, sharing
-// every column, the spatial index and the scratch pool. A nil engine
-// stays nil.
+// every column, the spatial index and the scratch pool.
 func (e *engine) withAccuracy(m kernel.AccuracyMode) *engine {
-	if e == nil {
-		return nil
-	}
 	c := *e
 	c.acc = m
 	return &c
@@ -384,7 +365,7 @@ func (e *engine) densityQFlat(q, qerr []float64, dims []int, prod []float64) flo
 }
 
 // mulGauss multiplies each product by the plain Gaussian factor — the
-// exact op sequence of kernel.Type.Eval (Gaussian) and num.NormPDF.
+// exact op sequence of kernel.Gaussian and num.NormPDF.
 func mulGauss(prod, col []float64, q, w float64, exp func(float64) float64) {
 	for i, c := range col {
 		z := (q - c) / w

@@ -1,6 +1,7 @@
 package kde
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"udm/internal/kernel"
 	"udm/internal/microcluster"
 	"udm/internal/rng"
+	"udm/internal/udmerr"
 )
 
 // bitEqual reports exact bit equality, treating NaN == NaN.
@@ -151,28 +153,6 @@ func repeatRows(row []float64, n int) [][]float64 {
 		out[i] = row
 	}
 	return out
-}
-
-// TestNonGaussianFallback: estimators over other kernels must keep
-// working through the scalar fallback (and must not build an engine).
-func TestNonGaussianFallback(t *testing.T) {
-	d := gauss2(100, 0, 26)
-	est, err := NewPoint(d, Options{Kernel: kernel.Epanechnikov})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.eng != nil {
-		t.Fatal("non-Gaussian estimator built a Gaussian SoA engine")
-	}
-	got, err := DensityBatchOpts(est, d.X[:10], nil, BatchOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, x := range d.X[:10] {
-		if want := est.DensitySub(x, []int{0, 1}); !bitEqual(got[i], want) {
-			t.Fatalf("row %d: batch %v scalar %v", i, got[i], want)
-		}
-	}
 }
 
 // prunedMatrix builds the clustered dataset and tolerance grid shared
@@ -379,17 +359,6 @@ func TestWithAccuracy(t *testing.T) {
 	if _, err := est.WithAccuracy(kernel.Approx(math.NaN())); err == nil {
 		t.Fatal("invalid accuracy accepted")
 	}
-	// Non-Gaussian estimators reject non-exact modes but accept exact.
-	ep, err := NewPoint(d, Options{Kernel: kernel.Epanechnikov})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ep.WithAccuracy(kernel.Approx(1e-3)); err == nil {
-		t.Fatal("approx accuracy accepted for non-Gaussian kernel")
-	}
-	if _, err := ep.WithAccuracy(kernel.Exact()); err != nil {
-		t.Fatalf("exact accuracy rejected for non-Gaussian kernel: %v", err)
-	}
 	// Cluster variant.
 	s := microcluster.Build(d, 20, rng.New(51))
 	ce, err := NewCluster(s, Options{ErrorAdjust: true})
@@ -408,9 +377,7 @@ func TestOptionsValidatePruneAccuracy(t *testing.T) {
 		{Eval: evalopt.Options{Prune: -1}},
 		{Eval: evalopt.Options{Prune: math.NaN()}},
 		{Eval: evalopt.Options{Prune: math.Inf(1)}},
-		{Eval: evalopt.Options{Prune: 1e-6}, Kernel: kernel.Epanechnikov},
 		{Eval: evalopt.Options{Accuracy: kernel.Approx(-1)}},
-		{Eval: evalopt.Options{Accuracy: kernel.Approx(1e-6)}, Kernel: kernel.Laplace},
 	}
 	for i, opt := range bad {
 		if _, err := NewPoint(d, opt); err == nil {
@@ -419,5 +386,64 @@ func TestOptionsValidatePruneAccuracy(t *testing.T) {
 	}
 	if _, err := NewPoint(d, Options{Eval: evalopt.Options{Prune: 1e-6, Accuracy: kernel.Approx(1e-3)}}); err != nil {
 		t.Errorf("valid pruned+approx options rejected: %v", err)
+	}
+}
+
+// TestEveryEstimatorHasEngine: the Gaussian is the only kernel, so every
+// estimator either constructor builds — and every accuracy-switched
+// view of one — carries its SoA engine, whatever the kernel form,
+// pruning or accuracy.
+func TestEveryEstimatorHasEngine(t *testing.T) {
+	d := gauss2(120, 0.4, 61)
+	s := microcluster.Build(d, 20, rng.New(62))
+	for _, adjust := range []bool{false, true} {
+		for _, paper := range []bool{false, true} {
+			for _, prune := range []float64{0, 1e-3} {
+				for _, acc := range []kernel.AccuracyMode{kernel.Exact(), kernel.Approx(1e-6)} {
+					opt := Options{ErrorAdjust: adjust, PaperKernel: paper, Eval: evalopt.Options{Prune: prune, Accuracy: acc}}
+					name := fmt.Sprintf("adjust=%v paper=%v prune=%v acc=%v", adjust, paper, prune, acc)
+					pt, err := NewPoint(d, opt)
+					if err != nil {
+						t.Fatalf("%s: NewPoint: %v", name, err)
+					}
+					cl, err := NewCluster(s, opt)
+					if err != nil {
+						t.Fatalf("%s: NewCluster: %v", name, err)
+					}
+					ptView, err := pt.WithAccuracy(kernel.Approx(1e-3))
+					if err != nil {
+						t.Fatal(err)
+					}
+					clView, err := cl.WithAccuracy(kernel.Exact())
+					if err != nil {
+						t.Fatal(err)
+					}
+					for kind, est := range map[string]Estimator{"point": pt, "cluster": cl, "point view": ptView, "cluster view": clView} {
+						if est.soa() == nil {
+							t.Errorf("%s: %s estimator has no engine", name, kind)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNewClusterRejectsNonFiniteSums: a summary whose Definition-1 sums
+// overflowed (CF2x = +Inf) has no finite bandwidth, so construction
+// fails with ErrBadData instead of building an estimator that answers
+// NaN.
+func TestNewClusterRejectsNonFiniteSums(t *testing.T) {
+	ok := microcluster.NewFeature(2)
+	ok.Add([]float64{1, 2}, nil, 1)
+	ok.Add([]float64{2, 3}, nil, 2)
+	bad := ok.Clone()
+	bad.CF2[0] = math.Inf(1)
+	s, err := microcluster.FromFeatures([]*microcluster.Feature{ok, bad})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewCluster(s, Options{ErrorAdjust: true}); !errors.Is(err, udmerr.ErrBadData) {
+		t.Fatalf("NewCluster over CF2x = +Inf: got %v, want ErrBadData", err)
 	}
 }

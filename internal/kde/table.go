@@ -81,15 +81,7 @@ func (t *FactorTable) DensitySub(dims []int) float64 {
 func (k *PointKDE) FactorTable(x []float64, t *FactorTable) {
 	checkQuery(x, len(k.h))
 	t.reset(len(k.x), len(k.h), nil, float64(len(k.x)))
-	if k.eng != nil {
-		k.eng.factors(x, t.f)
-		return
-	}
-	for j, col := range t.f {
-		for i := range col {
-			col[i] = k.factor(x[j], i, j)
-		}
-	}
+	k.eng.factors(x, t.f)
 }
 
 // FactorTable fills t with every kernel factor of the estimator at x.
@@ -98,13 +90,5 @@ func (k *PointKDE) FactorTable(x []float64, t *FactorTable) {
 func (k *ClusterKDE) FactorTable(x []float64, t *FactorTable) {
 	checkQuery(x, len(k.h))
 	t.reset(len(k.cents), len(k.h), k.weights, k.total)
-	if k.eng != nil {
-		k.eng.factors(x, t.f)
-		return
-	}
-	for j, col := range t.f {
-		for i := range col {
-			col[i] = k.factor(x[j], i, j)
-		}
-	}
+	k.eng.factors(x, t.f)
 }

@@ -73,8 +73,8 @@ func assertTableBitIdentical(t *testing.T, name string, est Estimator, fill func
 
 // TestFactorTableBitIdenticalPoint pins the table to PointKDE.DensitySub
 // for every kernel form: plain, normalized and paper error adjustment
-// (ψ = 0 entries included), a non-Gaussian kernel without an engine,
-// and estimators whose batch paths prune or use the fast exponential.
+// (ψ = 0 entries included), and estimators whose batch paths prune or
+// use the fast exponential.
 func TestFactorTableBitIdenticalPoint(t *testing.T) {
 	d := mixedErrData(240, 31)
 	var tab FactorTable
@@ -87,7 +87,6 @@ func TestFactorTableBitIdenticalPoint(t *testing.T) {
 		{"paper-without-adjust", Options{PaperKernel: true}, true},
 		{"normalized", Options{ErrorAdjust: true}, true},
 		{"paper", Options{ErrorAdjust: true, PaperKernel: true}, true},
-		{"epanechnikov", Options{Kernel: kernel.Epanechnikov}, false},
 		{"pruned", Options{ErrorAdjust: true, Eval: evalopt.Options{Prune: 1e-2}}, true},
 		{"approx", Options{ErrorAdjust: true, Eval: evalopt.Options{Accuracy: kernel.Approx(1e-3)}}, true},
 		{"paper-pruned-approx", Options{ErrorAdjust: true, PaperKernel: true, Eval: evalopt.Options{Prune: 1e-2, Accuracy: kernel.Approx(1e-3)}}, true},
@@ -105,7 +104,7 @@ func TestFactorTableBitIdenticalPoint(t *testing.T) {
 
 // TestFactorTableBitIdenticalCluster is the ClusterKDE twin: weighted
 // pseudo-points, Δ = 0 singletons next to wide clusters, both kernel
-// forms, an estimator without an engine, and prune/approx settings.
+// forms, and prune/approx settings.
 func TestFactorTableBitIdenticalCluster(t *testing.T) {
 	d := mixedErrData(300, 32)
 	var tab FactorTable
@@ -118,7 +117,6 @@ func TestFactorTableBitIdenticalCluster(t *testing.T) {
 		{"paper-without-adjust", Options{PaperKernel: true}, true},
 		{"normalized", Options{ErrorAdjust: true}, true},
 		{"paper", Options{ErrorAdjust: true, PaperKernel: true}, true},
-		{"epanechnikov", Options{Kernel: kernel.Epanechnikov}, false},
 		{"pruned", Options{ErrorAdjust: true, Eval: evalopt.Options{Prune: 1e-2}}, true},
 		{"approx", Options{ErrorAdjust: true, Eval: evalopt.Options{Accuracy: kernel.Approx(1e-3)}}, true},
 		{"paper-pruned-approx", Options{ErrorAdjust: true, PaperKernel: true, Eval: evalopt.Options{Prune: 1e-2, Accuracy: kernel.Approx(1e-3)}}, true},

@@ -4,7 +4,7 @@ import "testing"
 
 func BenchmarkGaussianEval(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_ = Gaussian.Eval(1.3, 0.2, 0.8)
+		_ = Gaussian(1.3, 0.2, 0.8)
 	}
 }
 

@@ -1,4 +1,4 @@
-// Package kernel implements the one-dimensional smoothing kernels and
+// Package kernel implements the one-dimensional Gaussian kernel and the
 // bandwidth rules used by the density estimators, including the paper's
 // error-adjusted Gaussian kernel Q'_h (Aggarwal, ICDE 2007, Eq. 3), whose
 // bandwidth along a dimension is widened by the per-entry standard error
@@ -16,76 +16,16 @@ import (
 	"udm/internal/num"
 )
 
-// Type selects a one-dimensional kernel shape.
-type Type int
-
-const (
-	// Gaussian is the kernel used throughout the paper (Eq. 2).
-	Gaussian Type = iota
-	// Epanechnikov is the mean-square-optimal compact kernel.
-	Epanechnikov
-	// Laplace is a heavy-tailed alternative.
-	Laplace
-	// Biweight (quartic) is a smooth compact kernel.
-	Biweight
-	// Triangular is the piecewise-linear compact kernel.
-	Triangular
-)
-
-// String returns the kernel name.
-func (t Type) String() string {
-	switch t {
-	case Gaussian:
-		return "gaussian"
-	case Epanechnikov:
-		return "epanechnikov"
-	case Laplace:
-		return "laplace"
-	case Biweight:
-		return "biweight"
-	case Triangular:
-		return "triangular"
-	default:
-		return fmt.Sprintf("kernel.Type(%d)", int(t))
-	}
-}
-
-// Eval returns the density at x of the unit-mass kernel of this Type
-// centered at c with scale width > 0. For the Gaussian and Laplace
-// kernels the width is the standard deviation (for Laplace, the scale b
-// is chosen so the standard deviation is width); for Epanechnikov it is
-// the half-support radius.
-func (t Type) Eval(x, c, width float64) float64 {
+// Gaussian returns the density at x of the Gaussian kernel centered at
+// c with standard deviation width > 0: the paper's kernel (Eq. 2), and
+// the only kernel shape the estimators use. The kde batch engine's
+// mulGauss reproduces this exact op sequence, bit for bit.
+func Gaussian(x, c, width float64) float64 {
 	if width <= 0 {
 		panic(fmt.Sprintf("kernel: non-positive width %v", width))
 	}
 	u := (x - c) / width
-	switch t {
-	case Gaussian:
-		return num.InvSqrt2Pi / width * math.Exp(-0.5*u*u)
-	case Epanechnikov:
-		if u <= -1 || u >= 1 {
-			return 0
-		}
-		return 0.75 * (1 - u*u) / width
-	case Laplace:
-		// Scale b = width/sqrt(2) gives variance width².
-		b := width / math.Sqrt2
-		return math.Exp(-math.Abs(x-c)/b) / (2 * b)
-	case Biweight:
-		if u <= -1 || u >= 1 {
-			return 0
-		}
-		v := 1 - u*u
-		return 15.0 / 16.0 * v * v / width
-	case Triangular:
-		if u <= -1 || u >= 1 {
-			return 0
-		}
-		return (1 - math.Abs(u)) / width
-	default:
-		panic(fmt.Sprintf("kernel: unknown type %d", int(t)))
-	}
+	return num.InvSqrt2Pi / width * math.Exp(-0.5*u*u)
 }
 
 // ErrAdjustedPaper evaluates the paper's error-based kernel Q'_h(x - c, ψ)

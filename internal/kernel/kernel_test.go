@@ -22,23 +22,19 @@ func mass(fn func(x float64) float64, l float64, n int) float64 {
 }
 
 func TestKernelsHaveUnitMass(t *testing.T) {
-	for _, kt := range []Type{Gaussian, Epanechnikov, Laplace, Biweight, Triangular} {
-		for _, width := range []float64{0.5, 1, 2.5} {
-			got := mass(func(x float64) float64 { return kt.Eval(x, 0.3, width) }, 40, 40000)
-			if math.Abs(got-1) > 1e-4 {
-				t.Errorf("%v width %v: mass = %v", kt, width, got)
-			}
+	for _, width := range []float64{0.5, 1, 2.5} {
+		got := mass(func(x float64) float64 { return Gaussian(x, 0.3, width) }, 40, 40000)
+		if math.Abs(got-1) > 1e-4 {
+			t.Errorf("width %v: mass = %v", width, got)
 		}
 	}
 }
 
 func TestKernelsPeakAtCenter(t *testing.T) {
-	for _, kt := range []Type{Gaussian, Epanechnikov, Laplace, Biweight, Triangular} {
-		center := kt.Eval(1.5, 1.5, 1)
-		for _, dx := range []float64{0.1, 0.5, 0.9, 2} {
-			if kt.Eval(1.5+dx, 1.5, 1) > center {
-				t.Errorf("%v: off-center value exceeds peak at dx=%v", kt, dx)
-			}
+	center := Gaussian(1.5, 1.5, 1)
+	for _, dx := range []float64{0.1, 0.5, 0.9, 2} {
+		if Gaussian(1.5+dx, 1.5, 1) > center {
+			t.Errorf("off-center value exceeds peak at dx=%v", dx)
 		}
 	}
 }
@@ -50,24 +46,10 @@ func TestKernelSymmetry(t *testing.T) {
 		if math.IsNaN(dx) || math.IsNaN(width) {
 			return true
 		}
-		for _, kt := range []Type{Gaussian, Epanechnikov, Laplace, Biweight, Triangular} {
-			if kt.Eval(dx, 0, width) != kt.Eval(-dx, 0, width) {
-				return false
-			}
-		}
-		return true
+		return Gaussian(dx, 0, width) == Gaussian(-dx, 0, width)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestEpanechnikovCompactSupport(t *testing.T) {
-	if Epanechnikov.Eval(2.001, 0, 2) != 0 {
-		t.Error("Epanechnikov nonzero outside support")
-	}
-	if Epanechnikov.Eval(1.999, 0, 2) == 0 {
-		t.Error("Epanechnikov zero inside support")
 	}
 }
 
@@ -79,7 +61,7 @@ func TestEvalPanicsOnBadWidth(t *testing.T) {
 					t.Errorf("width %v did not panic", w)
 				}
 			}()
-			Gaussian.Eval(0, 0, w)
+			Gaussian(0, 0, w)
 		}()
 	}
 }
@@ -87,7 +69,7 @@ func TestEvalPanicsOnBadWidth(t *testing.T) {
 func TestErrAdjustedReducesToGaussianAtZeroError(t *testing.T) {
 	// Boundary case from the paper: ψ = 0 recovers the standard kernel.
 	for _, x := range []float64{-2, 0, 0.7, 3} {
-		std := Gaussian.Eval(x, 0.5, 1.3)
+		std := Gaussian(x, 0.5, 1.3)
 		if got := ErrAdjustedPaper(x, 0.5, 1.3, 0); math.Abs(got-std) > 1e-15 {
 			t.Errorf("paper variant at ψ=0: %v vs %v", got, std)
 		}
@@ -166,11 +148,5 @@ func TestErrAdjustedPanics(t *testing.T) {
 			}()
 			ErrAdjustedNormalized(0, 0, c.h, c.psi)
 		}()
-	}
-}
-
-func TestTypeString(t *testing.T) {
-	if Gaussian.String() != "gaussian" || Type(99).String() == "" {
-		t.Error("String() wrong")
 	}
 }

@@ -1,6 +1,7 @@
 package outlier
 
 import (
+	"context"
 	"testing"
 
 	"udm/internal/dataset"
@@ -54,7 +55,7 @@ func BenchmarkDetectStream(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DetectStream(s, queries, nil, Options{
+		if _, err := DetectStream(context.Background(), s, queries, nil, Options{
 			KDE: kde.Options{ErrorAdjust: true},
 		}); err != nil {
 			b.Fatal(err)

@@ -9,6 +9,7 @@
 package outlier
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -93,7 +94,8 @@ func Detect(ds *dataset.Dataset, opt Options) (*Result, error) {
 // errors (nil = exact queries; individual rows may also be nil), which
 // are folded into the expected-density score when opt.UseQueryError is
 // set. Useful for online anomaly detection over a stream transform.
-func DetectStream(s *microcluster.Summarizer, queries, queryErrs [][]float64, opt Options) (*Result, error) {
+// Cancelling ctx stops scoring between queries and returns ctx.Err().
+func DetectStream(ctx context.Context, s *microcluster.Summarizer, queries, queryErrs [][]float64, opt Options) (*Result, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("outlier: no query points: %w", udmerr.ErrBadData)
 	}
@@ -119,6 +121,9 @@ func DetectStream(s *microcluster.Summarizer, queries, queryErrs [][]float64, op
 	}
 	scores := make([]float64, len(queries))
 	for i, q := range queries {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		if opt.UseQueryError && queryErrs != nil && queryErrs[i] != nil {
 			scores[i] = negLog(est.DensityQ(q, queryErrs[i], dims))
 		} else {

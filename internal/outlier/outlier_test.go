@@ -1,6 +1,7 @@
 package outlier
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -156,7 +157,7 @@ func TestDetectStream(t *testing.T) {
 		s.Add([]float64{r.Norm(0, 1)}, []float64{0.1})
 	}
 	queries := [][]float64{{0}, {0.5}, {25}}
-	res, err := DetectStream(s, queries, nil, Options{Contamination: 0.3, KDE: kde.Options{ErrorAdjust: true}})
+	res, err := DetectStream(context.Background(), s, queries, nil, Options{Contamination: 0.3, KDE: kde.Options{ErrorAdjust: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,10 +167,10 @@ func TestDetectStream(t *testing.T) {
 	if !math.IsInf(res.Scores[2], 0) && res.Scores[2] <= res.Scores[0] {
 		t.Fatal("far query should score highest")
 	}
-	if _, err := DetectStream(s, nil, nil, Options{}); err == nil {
+	if _, err := DetectStream(context.Background(), s, nil, nil, Options{}); err == nil {
 		t.Error("empty queries accepted")
 	}
-	if _, err := DetectStream(s, queries, [][]float64{{1}}, Options{}); err == nil {
+	if _, err := DetectStream(context.Background(), s, queries, [][]float64{{1}}, Options{}); err == nil {
 		t.Error("mismatched query errors accepted")
 	}
 }
@@ -184,7 +185,7 @@ func TestDetectStreamQueryError(t *testing.T) {
 	}
 	queries := [][]float64{{12}, {12}}
 	qerrs := [][]float64{{0.01}, {12}}
-	res, err := DetectStream(s, queries, qerrs, Options{
+	res, err := DetectStream(context.Background(), s, queries, qerrs, Options{
 		Contamination: 0.5,
 		UseQueryError: true,
 		KDE:           kde.Options{ErrorAdjust: true},

@@ -233,6 +233,8 @@ func TestModelConstructorsRefuseRequestKnobs(t *testing.T) {
 	refused := map[string]evalopt.Options{
 		`"backend"`:  {Backend: evalopt.BackendMicro},
 		`"accuracy"`: {Accuracy: kernel.Approx(0.05)},
+		`"q"`:        {MicroClusters: 50},
+		`"seed"`:     {Seed: 7},
 	}
 	for kind, ctor := range ctors {
 		for field, ev := range refused {

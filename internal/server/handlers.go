@@ -279,7 +279,7 @@ func (s *Server) handleOutliers(w http.ResponseWriter, r *http.Request) {
 		s.front.Fail(w, err)
 		return
 	}
-	resp, err := ScoreOutliers(sum, m.kdeOpt, req)
+	resp, err := ScoreOutliers(r.Context(), sum, m.kdeOpt, req)
 	if err != nil {
 		s.front.Fail(w, err)
 		return
@@ -343,17 +343,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	base := int64(eng.Count())
-	for i, x := range rows {
-		var er []float64
-		if req.Errors != nil {
-			er = req.Errors[i]
-		}
-		ts := base + int64(i) + 1
-		if req.Timestamps != nil {
-			ts = req.Timestamps[i]
-		}
-		eng.Add(x, er, ts)
+	// The engine applies the batch all or nothing: a batch that would
+	// overflow its Definition-1 totals is refused whole (400 bad_data).
+	if err := eng.AddBatch(rows, req.Errors, req.Timestamps); err != nil {
+		s.front.Fail(w, err)
+		return
 	}
 	s.metrics.IngestedRows.Add(int64(len(rows)))
 	resp := ingestResponse{Ingested: len(rows), Count: eng.Count()}

@@ -153,8 +153,10 @@ func NewStreamModel(name string, eng *stream.Engine, opt kde.Options, checkpoint
 // density request picks: the backend and the accuracy mode are the
 // request's "backend" and "accuracy" fields, and the exact-mode paths
 // (coalescer, density cache, X-UDM-Accuracy echo) assume the model's
-// own estimator is exact. Prune and the grid sizing keys stay a
-// model-wide construction policy.
+// own estimator is exact. It also refuses the micro rung's sizing keys
+// (q and seed), which only shape a summary built from raw rows: every
+// served model is already a summary. Prune and the grid sizing keys
+// (epsilon, cells) stay a model-wide construction policy.
 func checkServingEval(name string, opt kde.Options) error {
 	if opt.Eval.Backend != evalopt.BackendDefault {
 		return fmt.Errorf("server: model %q: backend %q is chosen per request by the density request's \"backend\" field, not at model construction: %w",
@@ -163,6 +165,10 @@ func checkServingEval(name string, opt kde.Options) error {
 	if !opt.Eval.Accuracy.IsExact() {
 		return fmt.Errorf("server: model %q: accuracy %v is chosen per request by the density request's \"accuracy\" field, not at model construction: %w",
 			name, opt.Eval.Accuracy, udmerr.ErrBadOption)
+	}
+	if opt.Eval.MicroClusters != 0 || opt.Eval.Seed != 0 {
+		return fmt.Errorf("server: model %q: the \"q\" and \"seed\" keys (q=%d, seed=%d) size a micro-cluster summary built from raw rows; a served model is already a summary: %w",
+			name, opt.Eval.MicroClusters, opt.Eval.Seed, udmerr.ErrBadOption)
 	}
 	return nil
 }

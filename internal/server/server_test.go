@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -605,6 +606,7 @@ func TestStatusFor(t *testing.T) {
 		{fmt.Errorf("x: %w", udmerr.ErrDimensionMismatch), 400, "dimension_mismatch"},
 		{fmt.Errorf("x: %w", udmerr.ErrBadOption), 400, "bad_option"},
 		{fmt.Errorf("x: %w", udmerr.ErrNoErrors), 400, "no_errors"},
+		{fmt.Errorf("x: %w", udmerr.ErrBadData), 400, "bad_data"},
 		{fmt.Errorf("x: %w", udmerr.ErrUntrained), 409, "untrained"},
 		{errors.New("anything else"), 500, "internal"},
 	}
@@ -660,38 +662,115 @@ func TestConcurrentClassifyAndIngest(t *testing.T) {
 	}
 }
 
-// TestUnencodableDensityAnswers500: one huge ingested value overflows a
-// stream model's Definition-1 sums, so its densities come out NaN,
-// which JSON cannot carry. Both density paths (single-point through
-// the coalescer, and batch) must answer 500 internal in the error
-// envelope and count the error, never a 200 with an empty body.
-// Refusing such an ingest outright is a separate fix; this pins the
-// encoder's behavior once a NaN reaches it.
+// TestUnencodableDensityAnswers500: a body JSON cannot carry (a NaN
+// density) answers 500 internal in the error envelope and counts the
+// error, never a 200 with an empty body. An ingest can no longer
+// poison a model into answering NaN — the huge value that once
+// overflowed a stream model's Definition-1 sums is refused with 400
+// bad_data — and a poisoned summary cannot build an estimator, so the
+// encoder is driven directly.
 func TestUnencodableDensityAnswers500(t *testing.T) {
 	s := testServer(t, Options{}, "")
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	if status := postJSON(t, ts.URL+"/v1/models/live/ingest",
-		map[string]any{"points": [][]float64{{1e200, 1e200}}}, nil); status != 200 {
-		t.Fatalf("poisoning ingest = %d, want 200", status)
+	if status, code := errCode(t, ts.URL+"/v1/models/live/ingest",
+		map[string]any{"points": [][]float64{{1e200, 1e200}}}); status != http.StatusBadRequest || code != "bad_data" {
+		t.Fatalf("poisoning ingest = %d %q, want 400 bad_data", status, code)
 	}
-	url := ts.URL + "/v1/models/live/density"
+	nan := math.NaN()
 	for _, tc := range []struct {
 		name string
-		body map[string]any
+		body densityResponse
 	}{
-		{"single", map[string]any{"point": []float64{0.5, 0.5}}},
-		{"batch", map[string]any{"points": [][]float64{{0.5, 0.5}, {-1, 2}}}},
+		{"single", densityResponse{Density: &nan, Densities: []float64{nan}}},
+		{"batch", densityResponse{Densities: []float64{nan, 0.5}}},
 	} {
 		before := s.metrics.Errors.Load()
+		rec := httptest.NewRecorder()
+		s.front.WriteJSON(rec, http.StatusOK, tc.body)
 		var e errorBody
-		status := postJSON(t, url, tc.body, &e)
-		if status != http.StatusInternalServerError || e.Error.Code != "internal" || e.Error.Message == "" {
-			t.Errorf("%s: got %d %+v, want 500 with an internal error envelope", tc.name, status, e)
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+			t.Fatalf("%s: body %q: %v", tc.name, rec.Body.Bytes(), err)
+		}
+		if rec.Code != http.StatusInternalServerError || e.Error.Code != "internal" || e.Error.Message == "" {
+			t.Errorf("%s: got %d %+v, want 500 with an internal error envelope", tc.name, rec.Code, e)
 		}
 		if got := s.metrics.Errors.Load(); got != before+1 {
 			t.Errorf("%s: errors counter moved %d → %d, want one more", tc.name, before, got)
 		}
+	}
+}
+
+// TestIngestPoisonedBatchAppliesNothing: a batch that would overflow a
+// Definition-1 sum is refused whole with 400 bad_data — by the wire
+// validator when the batch alone overflows, by the engine when it
+// would overflow the model's running totals — and none of its records
+// land: the count is unchanged and the next density is bit-identical
+// to the density before.
+func TestIngestPoisonedBatchAppliesNothing(t *testing.T) {
+	s := testServer(t, Options{}, "")
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	url := ts.URL + "/v1/models/live/"
+	probe := map[string]any{"points": [][]float64{{0.5, 0.5}, {-1, 2}, {3, -0.5}}}
+	var before densityResponse
+	if st := postJSON(t, url+"density", probe, &before); st != http.StatusOK {
+		t.Fatalf("density before: %d", st)
+	}
+	liveCount := func() int {
+		m, _ := s.reg.Get("live")
+		return m.Engine().Count()
+	}
+	count := liveCount()
+	for _, tc := range []struct {
+		name string
+		body map[string]any
+	}{
+		{"huge value", map[string]any{"points": [][]float64{{0.5, 0.5}, {1e200, 1}, {1, 1}}}},
+		{"huge error", map[string]any{"points": [][]float64{{0.5, 0.5}, {1, 1}},
+			"errors": [][]float64{{0.1, 0.1}, {0.1, 1e200}}}},
+		{"column overflow", map[string]any{"points": [][]float64{{0.5, 0.5}, {1.3e154, 0}, {1.3e154, 0}}}},
+	} {
+		if st, code := errCode(t, url+"ingest", tc.body); st != http.StatusBadRequest || code != "bad_data" {
+			t.Errorf("%s: ingest -> %d %q, want 400 bad_data", tc.name, st, code)
+		}
+		if got := liveCount(); got != count {
+			t.Errorf("%s: count moved %d → %d, want no record applied", tc.name, count, got)
+		}
+	}
+	var after densityResponse
+	if st := postJSON(t, url+"density", probe, &after); st != http.StatusOK {
+		t.Fatalf("density after: %d", st)
+	}
+	for i := range before.Densities {
+		if math.Float64bits(after.Densities[i]) != math.Float64bits(before.Densities[i]) {
+			t.Errorf("density %d moved %v → %v after refused ingests", i, before.Densities[i], after.Densities[i])
+		}
+	}
+
+	// Each batch alone passes the wire check; the second would push the
+	// model's total CF2x past MaxFloat64, so the engine refuses it.
+	huge := map[string]any{"points": [][]float64{{1.3e154, 0}}}
+	if st := postJSON(t, url+"ingest", huge, nil); st != http.StatusOK {
+		t.Fatalf("first huge ingest: %d, want 200", st)
+	}
+	if st, code := errCode(t, url+"ingest", huge); st != http.StatusBadRequest || code != "bad_data" {
+		t.Errorf("totals overflow: ingest -> %d %q, want 400 bad_data", st, code)
+	}
+	if got := liveCount(); got != count+1 {
+		t.Errorf("count = %d after the refused batch, want %d", got, count+1)
+	}
+}
+
+// TestOutliersRequestTimeout: /outliers honours the request deadline
+// like the other evaluation endpoints.
+func TestOutliersRequestTimeout(t *testing.T) {
+	s := testServer(t, Options{RequestTimeout: time.Nanosecond}, "")
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body := map[string]any{"points": [][]float64{{0, 0}, {5, 5}}}
+	if status, code := errCode(t, ts.URL+"/v1/models/live/outliers", body); status != http.StatusGatewayTimeout || code != "timeout" {
+		t.Errorf("outliers got %d/%q, want 504/timeout", status, code)
 	}
 }
 

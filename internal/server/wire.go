@@ -60,6 +60,7 @@ var errorCodes = []struct {
 	{udmerr.ErrDimensionMismatch, http.StatusBadRequest, "dimension_mismatch"},
 	{udmerr.ErrBadOption, http.StatusBadRequest, "bad_option"},
 	{udmerr.ErrNoErrors, http.StatusBadRequest, "no_errors"},
+	{udmerr.ErrBadData, http.StatusBadRequest, "bad_data"},
 	{udmerr.ErrUntrained, http.StatusConflict, "untrained"},
 	{udmerr.ErrStaleVersion, http.StatusConflict, "stale_version"},
 	{udmerr.ErrTailExpired, http.StatusGone, "tail_expired"},
@@ -235,7 +236,8 @@ func (req *outliersRequest) Validate(model string, dims int) error {
 
 // Validate checks an ingest request against a model dims wide: the
 // points, one error row and one timestamp per point when either is
-// given, and the error rows' widths.
+// given, the error rows' widths, and that the batch cannot overflow a
+// Definition-1 sum (finiteSquares).
 func (req *ingestRequest) Validate(model string, dims int) error {
 	if _, _, err := points(model, dims, nil, req.Points); err != nil {
 		return err
@@ -248,7 +250,39 @@ func (req *ingestRequest) Validate(model string, dims int) error {
 		return fmt.Errorf("server: %d timestamps for %d points: %w",
 			len(req.Timestamps), len(req.Points), udmerr.ErrDimensionMismatch)
 	}
-	return errorRows(model, dims, req.Errors)
+	if err := errorRows(model, dims, req.Errors); err != nil {
+		return err
+	}
+	if err := finiteSquares("point", dims, req.Points); err != nil {
+		return err
+	}
+	return finiteSquares("error", dims, req.Errors)
+}
+
+// finiteSquares refuses, with udmerr.ErrBadData, a batch of rows (dims
+// wide; nil rows skipped) holding a value whose square is not finite,
+// or whose sum of squares along any column is not finite. Ingested
+// values and errors enter the Definition-1 sums CF2x and EF2x squared,
+// so either would overflow them and poison every later density.
+func finiteSquares(what string, dims int, rows [][]float64) error {
+	sums := make([]float64, dims)
+	for i, row := range rows {
+		for j, v := range row {
+			sq := v * v
+			if math.IsInf(sq, 0) || math.IsNaN(sq) {
+				return fmt.Errorf("server: %s row %d has %v at dimension %d, whose square is not finite: %w",
+					what, i, v, j, udmerr.ErrBadData)
+			}
+			sums[j] += sq
+		}
+	}
+	for j, sum := range sums {
+		if math.IsInf(sum, 0) {
+			return fmt.Errorf("server: the %s rows' sum of squares along dimension %d overflows: %w",
+				what, j, udmerr.ErrBadData)
+		}
+	}
+	return nil
 }
 
 // Validate checks a partial request's points against a model dims
@@ -259,18 +293,19 @@ func (req *partialRequest) Validate(model string, dims int) error {
 }
 
 // ScoreOutliers scores a validated outliers request against sum under
-// kdeOpt. Error rows, when given, are folded into each score through
-// the error-adjusted kernel. Scores are -log density, so a point far
-// from every cluster scores +Inf, which JSON cannot carry: non-finite
-// scores and the threshold are clamped to the float64 extremes, and
-// the outlier flags come from the unclamped scores.
-func ScoreOutliers(sum *microcluster.Summarizer, kdeOpt kde.Options, req OutliersRequest) (OutliersResponse, error) {
+// kdeOpt, stopping with ctx.Err() once ctx ends. Error rows, when
+// given, are folded into each score through the error-adjusted
+// kernel. Scores are -log density, so a point far from every cluster
+// scores +Inf, which JSON cannot carry: non-finite scores and the
+// threshold are clamped to the float64 extremes, and the outlier flags
+// come from the unclamped scores.
+func ScoreOutliers(ctx context.Context, sum *microcluster.Summarizer, kdeOpt kde.Options, req OutliersRequest) (OutliersResponse, error) {
 	opt := outlier.Options{Contamination: req.Contamination, Dims: req.Dims, KDE: kdeOpt}
 	if req.Errors != nil {
 		opt.UseQueryError = true
 		opt.KDE.ErrorAdjust = true
 	}
-	res, err := outlier.DetectStream(sum, req.Points, req.Errors, opt)
+	res, err := outlier.DetectStream(ctx, sum, req.Points, req.Errors, opt)
 	if err != nil {
 		return OutliersResponse{}, err
 	}

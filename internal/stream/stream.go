@@ -14,6 +14,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -115,6 +116,51 @@ func NewEngine(opt Options) (*Engine, error) {
 func (e *Engine) Add(x, err []float64, ts int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.addLocked(x, err, ts)
+}
+
+// AddBatch folds a batch of records into the stream summary, all or
+// nothing. errs may be nil, as may any of its rows; ts gives each
+// record's timestamp, and a nil ts stamps each record with its ingest
+// ordinal. The engine refuses the whole batch, applying none of it,
+// when the batch would make its total CF2x or EF2x non-finite along any
+// dimension: those totals bound every cluster's sums and feed the
+// bandwidth rule, so one overflow would poison every later density.
+// The error wraps udmerr.ErrBadData.
+func (e *Engine) AddBatch(xs, errs [][]float64, ts []int64) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	total := e.s.TotalFeature()
+	for i, x := range xs {
+		total.Add(x, row(errs, i), 0)
+	}
+	for j := range total.CF2 {
+		if math.IsInf(total.CF2[j], 0) || math.IsNaN(total.CF2[j]) ||
+			math.IsInf(total.EF2[j], 0) || math.IsNaN(total.EF2[j]) {
+			return fmt.Errorf("stream: batch of %d records would make total CF2x/EF2x along dimension %d non-finite (%v/%v): %w",
+				len(xs), j, total.CF2[j], total.EF2[j], udmerr.ErrBadData)
+		}
+	}
+	for i, x := range xs {
+		t := int64(e.n) + 1
+		if ts != nil {
+			t = ts[i]
+		}
+		e.addLocked(x, row(errs, i), t)
+	}
+	return nil
+}
+
+// row returns rows[i], or nil when rows is nil.
+func row(rows [][]float64, i int) []float64 {
+	if rows == nil {
+		return nil
+	}
+	return rows[i]
+}
+
+// addLocked folds one record in; the caller holds e.mu.
+func (e *Engine) addLocked(x, err []float64, ts int64) {
 	e.s.AddAt(x, err, ts)
 	e.n++
 	e.lastTS = ts

@@ -1,12 +1,16 @@
 package stream
 
 import (
+	"errors"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
 	"udm/internal/kde"
 	"udm/internal/microcluster"
 	"udm/internal/rng"
+	"udm/internal/udmerr"
 )
 
 func engine(t *testing.T, opt Options) *Engine {
@@ -262,5 +266,65 @@ func TestFeatureSubValidation(t *testing.T) {
 	c.Add([]float64{1}, nil, 0)
 	if _, err := a.Sub(c); err == nil {
 		t.Error("subtracting larger feature accepted")
+	}
+}
+
+// TestAddBatchRefusesNonFiniteTotals: 1.3e154² is finite, but two of
+// them overflow a CF2x (or EF2x) sum. AddBatch refuses such a batch
+// whole — whether it overflows on its own or only on top of the
+// engine's running totals — and leaves the summary, the count and the
+// tail exactly as they were.
+func TestAddBatchRefusesNonFiniteTotals(t *testing.T) {
+	e := engine(t, Options{MicroClusters: 4, Dims: 2})
+	if err := e.AddBatch([][]float64{{0, 1}, {1, 0}, {2, 2}}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	sumBits := func() []uint64 {
+		s, err := e.Summarizer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bits []uint64
+		for _, f := range s.Features() {
+			for j := range f.CF2 {
+				bits = append(bits, math.Float64bits(f.CF1[j]), math.Float64bits(f.CF2[j]), math.Float64bits(f.EF2[j]))
+			}
+		}
+		return bits
+	}
+	before := sumBits()
+	const big = 1.3e154
+	refuse := func(name string, xs, errs [][]float64) {
+		t.Helper()
+		n := e.Count()
+		if err := e.AddBatch(xs, errs, nil); !errors.Is(err, udmerr.ErrBadData) {
+			t.Fatalf("%s: got %v, want ErrBadData", name, err)
+		}
+		if e.Count() != n {
+			t.Fatalf("%s: count moved %d → %d", name, n, e.Count())
+		}
+		if recs, _ := e.TailSince(int64(n)); len(recs) != 0 {
+			t.Fatalf("%s: %d refused records reached the tail", name, len(recs))
+		}
+	}
+	refuse("two huge values", [][]float64{{0, 0}, {big, 0}, {big, 0}}, nil)
+	refuse("two huge errors", [][]float64{{0, 0}, {1, 1}}, [][]float64{{0, big}, {0, big}})
+	if got := sumBits(); !slices.Equal(got, before) {
+		t.Fatal("a refused batch changed the summary")
+	}
+
+	// One huge value fits; a second, in a later batch, would overflow
+	// the running total.
+	if err := e.AddBatch([][]float64{{big, 0}}, nil, nil); err != nil {
+		t.Fatalf("one huge value: %v", err)
+	}
+	refuse("totals overflow", [][]float64{{big, 0}}, nil)
+
+	// A nil ts stamps each record with its ingest ordinal.
+	recs, _ := e.TailSince(0)
+	for _, r := range recs {
+		if r.TS != r.Seq {
+			t.Fatalf("record %d stamped %d, want its ordinal", r.Seq, r.TS)
+		}
 	}
 }

@@ -19,13 +19,13 @@
 //     (empty dataset, empty summarizer, no training rows for a class).
 //     Train or load a model first.
 //   - ErrBadOption: an option value is out of its documented domain
-//     (non-positive cluster counts, error adjustment with a
-//     non-Gaussian kernel, non-positive explicit bandwidths). Fix the
-//     configuration.
+//     (non-positive cluster counts, non-positive explicit bandwidths).
+//     Fix the configuration.
 //   - ErrBadData: the content of the supplied data is malformed even
-//     though its shape may be right (NaN/Inf values, invalid standard
-//     errors, out-of-range labels, malformed CSV, corrupt snapshot or
-//     checkpoint artifacts). Fix or regenerate the data.
+//     though its shape may be right (NaN/Inf values, sums that overflow
+//     to Inf, invalid standard errors, out-of-range labels, malformed
+//     CSV, corrupt snapshot or checkpoint artifacts). Fix or regenerate
+//     the data.
 //   - ErrInjected: a deliberate fault from internal/faultinject fired at
 //     this site. Transient by construction; retry or disarm the plan.
 //   - ErrCircuitOpen: a shard's circuit breaker (in udmproxy's shard

@@ -166,6 +166,18 @@ serve_stage() {
     exit 1
   fi
   echo "serve-smoke: ok: -eval accuracy=... refused before listening (exit $rc)"
+  # q sizes a micro-cluster summary built from raw rows; every served
+  # model is already a summary, so the key is refused too.
+  rc=0
+  timeout 10 "$TMP/udmserve" -addr "127.0.0.1:${PORT}" -eval 'q=50' \
+    -model "blobs=transform:$TMP/model.gob" 2>"$TMP/refused.log" || rc=$?
+  if [ "$rc" = 0 ] || [ "$rc" = 124 ] || grep -q 'listening' "$TMP/refused.log" ||
+    ! grep -q '"q"' "$TMP/refused.log"; then
+    echo "serve-smoke: FAIL: -eval q=50 exited $rc; want a startup error naming \"q\"" >&2
+    cat "$TMP/refused.log" >&2
+    exit 1
+  fi
+  echo "serve-smoke: ok: -eval q=... refused before listening (exit $rc)"
   rc=0
   timeout 10 "$TMP/udmserve" -addr "127.0.0.1:${PORT}" -prune 0.01 \
     -model "blobs=transform:$TMP/model.gob" 2>"$TMP/refused.log" || rc=$?

@@ -46,12 +46,12 @@
 //     (empty dataset, empty summarizer, a class with no rows). Train or
 //     load a model first.
 //   - ErrBadOption — an option value is outside its documented domain
-//     (non-positive cluster counts, error adjustment with a
-//     non-Gaussian kernel, non-positive explicit bandwidths). Fix the
-//     configuration.
+//     (non-positive cluster counts, non-positive explicit bandwidths).
+//     Fix the configuration.
 //   - ErrBadData — the content of the supplied data is malformed even
-//     though its shape may be right (NaN/Inf values, invalid standard
-//     errors, out-of-range labels, malformed CSV, corrupt snapshots).
+//     though its shape may be right (NaN/Inf values, sums that overflow
+//     to Inf, invalid standard errors, out-of-range labels, malformed
+//     CSV, corrupt snapshots).
 //     Fix or regenerate the data.
 //
 // # Context-first batch APIs
@@ -210,9 +210,12 @@ type (
 
 // Density estimation.
 type (
-	// DensityOptions configure kernels, bandwidths and error adjustment.
+	// DensityOptions configure bandwidths, error adjustment and
+	// evaluation over the paper's Gaussian kernel, the only kernel.
 	DensityOptions = kde.Options
-	// DensityEstimator evaluates joint densities over dimension subsets.
+	// DensityEstimator evaluates joint densities over dimension subsets,
+	// for certain or uncertain (DensityQ) queries. It is sealed: its
+	// only implementations are *PointDensity and *ClusterDensity.
 	DensityEstimator = kde.Estimator
 	// PointDensity is the exact estimator (Eq. 1–4).
 	PointDensity = kde.PointKDE
@@ -220,8 +223,6 @@ type (
 	ClusterDensity = kde.ClusterKDE
 	// Bandwidth selects the smoothing rule.
 	Bandwidth = kernel.Bandwidth
-	// KernelType selects the base kernel shape.
-	KernelType = kernel.Type
 	// BandwidthRule names a bandwidth selection rule.
 	BandwidthRule = kernel.BandwidthRule
 	// AccuracyMode selects exact kernel evaluation or the bounded-error
@@ -240,13 +241,6 @@ func Exact() AccuracyMode { return kernel.Exact() }
 // error at most eps; implementations fall back to exact evaluation when
 // eps is tighter than the surrogate can guarantee.
 func Approx(eps float64) AccuracyMode { return kernel.Approx(eps) }
-
-// Kernel shapes.
-const (
-	Gaussian     = kernel.Gaussian
-	Epanechnikov = kernel.Epanechnikov
-	Laplace      = kernel.Laplace
-)
 
 // Bandwidth rules.
 const (
@@ -329,12 +323,11 @@ func DensityBatchOpts(est DensityEstimator, X [][]float64, dims []int, opt Batch
 
 // DensityQBatchOpts is the uncertain-query form of DensityBatchOpts:
 // row i is evaluated as the expected density at a query with
-// per-dimension standard errors Qerr[i]. est is a *PointDensity or
-// *ClusterDensity. A nil Qerr row marks a certain query, and a nil Qerr
-// makes every query certain, reproducing DensityBatchOpts. Uncertain
-// queries need the Gaussian kernel. Results are bit-identical to the
-// per-query DensityQ loop for every worker count.
-func DensityQBatchOpts(est kde.QEstimator, X, Qerr [][]float64, dims []int, opt BatchOptions) ([]float64, error) {
+// per-dimension standard errors Qerr[i]. A nil Qerr row marks a certain
+// query, and a nil Qerr makes every query certain, reproducing
+// DensityBatchOpts. Results are bit-identical to the per-query DensityQ
+// loop for every worker count.
+func DensityQBatchOpts(est DensityEstimator, X, Qerr [][]float64, dims []int, opt BatchOptions) ([]float64, error) {
 	return kde.DensityQBatchOpts(est, X, Qerr, dims, opt)
 }
 
@@ -592,7 +585,8 @@ type (
 var DetectOutliers = outlier.Detect
 
 // DetectStreamOutliers scores query points against a micro-cluster
-// summary (online anomaly detection).
+// summary (online anomaly detection). Cancelling its context stops the
+// scoring between queries.
 var DetectStreamOutliers = outlier.DetectStream
 
 // ExplainOutlier ranks the dimensions of a record by how anomalous the
