@@ -85,6 +85,7 @@ faults:
 	$(GO) test -race -run 'TestFault|TestBatcher' ./internal/server
 	$(GO) test -race -run 'TestFault|TestRetr|TestBreaker' ./internal/distrib
 	$(GO) test -race -fuzz=FuzzFeatureMerge -fuzztime=30s -run='^Fuzz' ./internal/microcluster
+	$(GO) test -race -fuzz=FuzzLoadSummarizer -fuzztime=30s -run='^Fuzz' ./internal/microcluster
 	$(GO) test -race -fuzz=FuzzPrometheusExposition -fuzztime=30s -run='^Fuzz' ./internal/obs
 
 ## serve-smoke: end-to-end udmserve check (train, serve, curl, shut down)

@@ -182,7 +182,11 @@ func (c *ShardClient) Summary(ctx context.Context, model string) (*microcluster.
 		}
 		s, err := microcluster.Load(resp.Body)
 		if err != nil {
-			return fmt.Errorf("distrib: shard %s: decoding summary: %w", c.shard.Name, err)
+			// A summary that does not decode, torn in transit or corrupt at
+			// the shard, is an upstream fault, not the caller's bad data:
+			// drop Load's ErrBadData so it is retried and never answered
+			// as a 400.
+			return fmt.Errorf("distrib: shard %s: decoding summary: %v", c.shard.Name, err)
 		}
 		sum, version = s, v
 		return nil

@@ -32,12 +32,12 @@ const (
 
 // Head is the coordinator's merged view of a partitioned model: the
 // shard summaries concatenated in shard-index order (Definition 1
-// additivity makes that the exact summary of the union), the estimator
-// over the merged summary, the global bandwidths every shard must
-// evaluate under, and the per-shard versions the view is pinned to.
+// additivity makes that the exact summary of the union), the global
+// bandwidths every shard must evaluate under (resolved over the merged
+// summary, as a single node's estimator would), and the per-shard
+// versions the view is pinned to.
 type Head struct {
 	Sum        *microcluster.Summarizer
-	Est        *kde.ClusterKDE
 	Bandwidths []float64
 	Versions   []uint64  // per-shard model version at pull time
 	Weights    []float64 // per-shard summarized point count
@@ -152,15 +152,11 @@ func (c *Coordinator) refreshHead(ctx context.Context) (*Head, error) {
 	if err != nil {
 		return nil, fmt.Errorf("distrib: model %q: head merge: %w", c.model, err)
 	}
-	est, err := kde.NewCluster(merged, c.kdeOpt)
+	bw, err := kde.SummaryBandwidths(merged, c.kdeOpt)
 	if err != nil {
-		return nil, fmt.Errorf("distrib: model %q: head estimator: %w", c.model, err)
+		return nil, fmt.Errorf("distrib: model %q: head bandwidths: %w", c.model, err)
 	}
-	bw := make([]float64, merged.Dims())
-	for j := range bw {
-		bw[j] = est.BandwidthFor(j)
-	}
-	h := &Head{Sum: merged, Est: est, Bandwidths: bw, Versions: versions, Weights: weights, Total: total}
+	h := &Head{Sum: merged, Bandwidths: bw, Versions: versions, Weights: weights, Total: total}
 	c.mu.Lock()
 	c.head = h
 	c.mu.Unlock()

@@ -79,10 +79,16 @@ func degradedExpectation(t testing.TB, engines []*stream.Engine, queries [][]flo
 	}
 	total := float64(merged.Count())
 	dens = make([]float64, len(queries))
-	for p, x := range queries {
+	terms := make([][][]float64, len(live))
+	for i, est := range live {
+		if terms[i], err = est.PartialTermsBatch(queries, nil, kde.BatchOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for p := range queries {
 		sum := 0.0
-		for _, est := range live {
-			for _, term := range est.PartialTerms(x, nil, nil) {
+		for i := range live {
+			for _, term := range terms[i][p] {
 				sum += term
 			}
 		}

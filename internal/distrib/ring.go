@@ -12,7 +12,7 @@
 // concatenation (Definition 1 additivity — microcluster.MergeSummarizers),
 // per-cluster kernel terms evaluated under shared global bandwidths
 // reproduce the merged estimator's per-cluster products exactly
-// (kde.PartialTerms), and one sequential left-to-right sum over the
+// (kde.PartialTermsBatch), and one sequential left-to-right sum over the
 // term lists concatenated in shard-index order replays the merged
 // estimator's own summation sequence (kde.TestPartialTermsSharded).
 // The coordinator therefore never re-orders, chunks, or compensates

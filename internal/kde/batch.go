@@ -18,8 +18,8 @@ import (
 // est's SoA column engine. Every result is written to its own slot, so
 // the output is bit-for-bit identical for every worker count.
 // Estimators are read-only after construction and therefore safe to
-// share across the workers. Cancelling ctx aborts the batch and returns
-// ctx.Err().
+// share across the workers. Cancelling ctx aborts the batch before its
+// next row, in any chunk, and returns ctx.Err().
 func densityBatch(ctx context.Context, est Estimator, X [][]float64, dims []int, workers int) ([]float64, error) {
 	ctx, sp := obs.StartSpan(ctx, "kde.DensityBatch")
 	defer sp.End()
@@ -35,7 +35,10 @@ func densityBatch(ctx context.Context, est Estimator, X [][]float64, dims []int,
 		sc := e.scratch()
 		defer e.release(sc)
 		for i := start; i < end; i++ {
-			out[i-start] = e.density(X[i], dims, sc)
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			out[i-start] = e.density(X[i], nil, dims, sc)
 		}
 		return nil
 	})
@@ -69,11 +72,14 @@ func densityQBatch(ctx context.Context, est Estimator, X, Qerr [][]float64, dims
 		sc := e.scratch()
 		defer e.release(sc)
 		for i := start; i < end; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			var qe []float64
 			if Qerr != nil {
 				qe = Qerr[i]
 			}
-			out[i-start] = e.densityQ(X[i], qe, dims, sc)
+			out[i-start] = e.density(X[i], qe, dims, sc)
 		}
 		return nil
 	})
@@ -98,24 +104,4 @@ func batchDims(est Estimator, X [][]float64, dims []int) ([]int, error) {
 		}
 	}
 	return dims, nil
-}
-
-// leaveOneOutBatch is the engine behind LeaveOneOutBatchOpts: it
-// returns LeaveOneOutDensity for every training index in parallel —
-// the hot inner loop of outlier detection and likelihood cross-
-// validation. Results are bit-for-bit identical to the serial loop for
-// every worker count.
-func (k *PointKDE) leaveOneOutBatch(ctx context.Context, dims []int, workers int) ([]float64, error) {
-	ctx, sp := obs.StartSpan(ctx, "kde.LeaveOneOutBatch")
-	defer sp.End()
-	sp.Attr("points", len(k.x))
-	looBatches.Inc()
-	kernelEvals.Add(int64(len(k.x)) * int64(len(k.x)-1))
-	dims, err := batchDims(k, nil, dims)
-	if err != nil {
-		return nil, err
-	}
-	return parallel.Map(ctx, len(k.x), workers, func(i int) (float64, error) {
-		return k.LeaveOneOutDensity(i, dims), nil
-	})
 }

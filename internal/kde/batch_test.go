@@ -3,6 +3,7 @@ package kde
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"udm/internal/dataset"
@@ -143,29 +144,34 @@ func TestDensityBatchCancellation(t *testing.T) {
 	if _, err := DensityBatchOpts(pt, ds.X, nil, BatchOptions{Ctx: ctx, Workers: 4}); err == nil {
 		t.Error("cancelled context did not abort the batch")
 	}
+	// A context that ends mid-chunk stops a serial batch (one chunk)
+	// before its next row.
+	if _, err := DensityBatchOpts(pt, ds.X, nil, BatchOptions{Ctx: endsAfter(5), Workers: 1}); !errors.Is(err, context.Canceled) {
+		t.Errorf("density batch past its context's end: got %v, want context.Canceled", err)
+	}
+	if _, err := DensityQBatchOpts(pt, ds.X, nil, nil, BatchOptions{Ctx: endsAfter(5), Workers: 1}); !errors.Is(err, context.Canceled) {
+		t.Errorf("density_q batch past its context's end: got %v, want context.Canceled", err)
+	}
 }
 
-func TestLeaveOneOutBatchMatchesSerial(t *testing.T) {
-	ds, pt, _ := batchFixture(t, 150)
-	dims := []int{0, 2}
-	want := make([]float64, ds.Len())
-	for i := range want {
-		want[i] = pt.LeaveOneOutDensity(i, dims)
+// endsAfter returns a context whose Err reports cancellation from its
+// (n+1)-th call on.
+func endsAfter(n int64) context.Context {
+	c := &countdownCtx{Context: context.Background()}
+	c.left.Store(n)
+	return c
+}
+
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
 	}
-	for _, workers := range []int{1, 8} {
-		got, err := pt.LeaveOneOutBatchOpts(dims, BatchOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: row %d = %v, want %v", workers, i, got[i], want[i])
-			}
-		}
-	}
-	if _, err := pt.LeaveOneOutBatchOpts([]int{9}, BatchOptions{Workers: 2}); !errors.Is(err, udmerr.ErrDimensionMismatch) {
-		t.Errorf("out-of-range dim: got %v, want ErrDimensionMismatch", err)
-	}
+	return nil
 }
 
 // TestCVBandwidthsWorkersDeterministic: the CV grid search picks the

@@ -3,12 +3,12 @@ package kde
 import "context"
 
 // This file is the batch-evaluation surface: one options-taking form
-// per operation (DensityBatchOpts, DensityQBatchOpts,
-// LeaveOneOutBatchOpts). The per-call knobs, context and workers, ride
-// in one BatchOptions value; how an estimator evaluates (pruning, the
-// accuracy mode) is fixed when it is built, through Options.Eval, and
-// a per-call accuracy is an accuracy-switched view (WithAccuracy). The
-// engines behind these forms live in batch.go.
+// per operation (DensityBatchOpts, DensityQBatchOpts). The per-call
+// knobs, context and workers, ride in one BatchOptions value; how an
+// estimator evaluates (pruning, the accuracy mode) is fixed when it is
+// built, through Options.Eval, and a per-call accuracy is an
+// accuracy-switched view (WithAccuracy). The engines behind these
+// forms live in batch.go.
 
 // BatchOptions carries the per-call knobs of a batch density
 // evaluation. The zero value is the common case: background context,
@@ -52,13 +52,4 @@ func DensityBatchOpts(est Estimator, X [][]float64, dims []int, opt BatchOptions
 // certain).
 func DensityQBatchOpts(est Estimator, X, Qerr [][]float64, dims []int, opt BatchOptions) ([]float64, error) {
 	return densityQBatch(opt.ctx(), est, X, Qerr, dims, opt.Workers)
-}
-
-// LeaveOneOutBatchOpts returns LeaveOneOutDensity for every training
-// index under opt — the hot inner loop of outlier detection and
-// likelihood cross-validation. The leave-one-out correction is defined
-// point-wise, so evaluation is always exact; opt supplies context and
-// worker count.
-func (k *PointKDE) LeaveOneOutBatchOpts(dims []int, opt BatchOptions) ([]float64, error) {
-	return k.leaveOneOutBatch(opt.ctx(), dims, opt.Workers)
 }

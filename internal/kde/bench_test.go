@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"testing"
 
+	"udm/internal/datagen"
 	"udm/internal/dataset"
 	"udm/internal/evalopt"
 	"udm/internal/kernel"
 	"udm/internal/microcluster"
 	"udm/internal/rng"
+	"udm/internal/uncertain"
 )
 
 func BenchmarkPointDensity(b *testing.B) {
@@ -83,6 +85,43 @@ func BenchmarkDensityBatch(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkPartialTermsBatch is the shard side of a udmproxy density
+// fan-out: per-cluster terms for 64 queries over a forest-cover summary
+// (q = 140, d = 10), evaluated serially under explicit bandwidths, as
+// /partial evaluates under the coordinator's.
+func BenchmarkPartialTermsBatch(b *testing.B) {
+	r := rng.New(21)
+	clean, err := datagen.ForestCover().Generate(2064, r.Split("gen"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := uncertain.Perturb(clean, 1.0, r.Split("per"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	idx := make([]int, 2000)
+	for i := range idx {
+		idx[i] = i
+	}
+	s := microcluster.Build(d.Subset(idx), 140, r.Split("build"))
+	opt := Options{ErrorAdjust: true}
+	if opt.Bandwidths, err = SummaryBandwidths(s, opt); err != nil {
+		b.Fatal(err)
+	}
+	est, err := NewCluster(s, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	X := d.X[2000:]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := est.PartialTermsBatch(X, nil, BatchOptions{Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

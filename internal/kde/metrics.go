@@ -12,8 +12,6 @@ var (
 		"batch density evaluations started", "op", "density")
 	densityQBatches = obs.Default().Counter("udm_kde_batches_total",
 		"batch density evaluations started", "op", "density_q")
-	looBatches = obs.Default().Counter("udm_kde_batches_total",
-		"batch density evaluations started", "op", "loo")
 	kernelEvals = obs.Default().Counter("udm_kde_kernel_evals_total",
 		"kernel evaluations implied by batch calls (queries x training points)")
 	kernelEvalsPruned = obs.Default().Counter("udm_kde_kernel_evals_pruned_total",

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"udm/internal/kernel"
 	"udm/internal/microcluster"
 	"udm/internal/rng"
 	"udm/internal/udmerr"
@@ -50,7 +51,11 @@ func TestPartialTermsReproduceDensity(t *testing.T) {
 		}
 		for _, dims := range [][]int{nil, {0}, {1, 2}, {2, 0}} {
 			for qi, x := range partialQueries(17, 25) {
-				terms := est.PartialTerms(x, dims, nil)
+				rows, err := est.PartialTermsBatch([][]float64{x}, dims, BatchOptions{Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				terms := rows[0]
 				if len(terms) != est.Clusters() {
 					t.Fatalf("%d terms for %d clusters", len(terms), est.Clusters())
 				}
@@ -73,9 +78,31 @@ func TestPartialTermsReproduceDensity(t *testing.T) {
 	}
 }
 
+// scalarTerms is the per-query loop the batch form replaced, kept here
+// as the reference: each cluster's weight times its kernel factors in
+// dims order, stopping once the product is zero.
+func scalarTerms(k *ClusterKDE, x []float64) []float64 {
+	out := make([]float64, len(k.cents))
+	for i, c := range k.cents {
+		prod := k.weights[i]
+		for j := range k.h {
+			if k.opt.PaperKernel {
+				prod *= kernel.ErrAdjustedPaper(x[j], c[j], k.h[j], k.deltas[i][j])
+			} else {
+				prod *= kernel.ErrAdjustedNormalized(x[j], c[j], k.h[j], k.deltas[i][j])
+			}
+			if prod == 0 {
+				break
+			}
+		}
+		out[i] = prod
+	}
+	return out
+}
+
 // TestPartialTermsBatch checks the batch form: positional agreement
-// with the per-query method, bit-identical for every worker count, and
-// batch-path validation errors instead of panics.
+// with the scalar per-query loop, bit-identical for every worker count,
+// and batch-path validation errors instead of panics.
 func TestPartialTermsBatch(t *testing.T) {
 	s := partialSummarizer(5, 400, 6)
 	est, err := NewCluster(s, Options{ErrorAdjust: true})
@@ -88,7 +115,7 @@ func TestPartialTermsBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, x := range X {
-		one := est.PartialTerms(x, nil, nil)
+		one := scalarTerms(est, x)
 		for c := range one {
 			if math.Float64bits(base[i][c]) != math.Float64bits(one[c]) {
 				t.Fatalf("row %d cluster %d: batch %v != per-query %v", i, c, base[i][c], one[c])

@@ -58,29 +58,18 @@ type walker struct {
 	e       *engine
 	q       []float64
 	qerr    []float64 // nil for a certain query
-	q2      []float64 // qerr², per dimension (nil when qerr is nil)
 	dims    []int
 	exp     func(float64) float64
 	sum     float64
 	skipped int64
-	q2buf   [16]float64
+	prod    [pruneLeaf]float64 // one evaluated span's products
 }
 
 // densityPruned evaluates the estimate at q over dims with far-field
 // truncation at relative budget e.prune. qerr, when non-nil, is folded
 // into every width exactly as in the flat DensityQ path.
-func (e *engine) densityPruned(q []float64, dims []int, qerr []float64) float64 {
+func (e *engine) densityPruned(q, qerr []float64, dims []int) float64 {
 	w := walker{e: e, q: q, dims: dims, qerr: qerr, exp: e.expFn(len(dims))}
-	if qerr != nil {
-		if e.d <= len(w.q2buf) {
-			w.q2 = w.q2buf[:e.d]
-		} else {
-			w.q2 = make([]float64, e.d)
-		}
-		for j, v := range qerr {
-			w.q2[j] = v * v
-		}
-	}
 	w.walk(e.tree.Root())
 	kernelEvalsPruned.Add(w.skipped)
 	return w.sum / e.total
@@ -113,7 +102,7 @@ func (w *walker) walk(ni int) {
 	w.evalSpan(lo, lo+1)
 	_, axis, left, right := e.tree.Node(ni)
 	near, far := left, right
-	if w.q[axis] > e.pcols[axis][lo] {
+	if w.q[axis] > e.perm.x[axis][lo] {
 		near, far = right, left
 	}
 	w.walk(near)
@@ -140,8 +129,8 @@ func (w *walker) boundFactor(ni, j int) float64 {
 	}
 	h := e.h[j]
 	var q2 float64
-	if w.q2 != nil {
-		q2 = w.q2[j]
+	if w.qerr != nil {
+		q2 = w.qerr[j] * w.qerr[j]
 	}
 	s2hi := h*h + psiHi*psiHi + q2
 	var normHi float64
@@ -156,59 +145,13 @@ func (w *walker) boundFactor(ni, j int) float64 {
 	return normHi * math.Exp(-dmin*dmin/(2*s2hi))
 }
 
-// evalSpan adds the exact contribution of preorder positions [lo, hi).
-// Point-major over the permuted columns: spans are contiguous, and the
-// handful of dimensions per point stay in registers.
+// evalSpan adds the exact contribution of preorder positions [lo, hi),
+// at most pruneLeaf of them: the engine's terms over the permuted
+// columns, added in preorder.
 func (w *walker) evalSpan(lo, hi int) {
-	e := w.e
-	for t := lo; t < hi; t++ {
-		prod := 1.0
-		if e.pwts != nil {
-			prod = e.pwts[t]
-		}
-		for _, j := range w.dims {
-			prod *= w.factor(j, t)
-		}
-		w.sum += prod
-	}
-}
-
-// factor is the dimension-j kernel factor of preorder entry t,
-// reproducing the scalar paths' op sequences per mode.
-func (w *walker) factor(j, t int) float64 {
-	e := w.e
-	qj := w.q[j]
-	c := e.pcols[j][t]
-	h := e.h[j]
-	if w.qerr != nil {
-		q2 := w.q2[j]
-		var psi float64
-		if e.ppsiSq != nil {
-			psi = math.Sqrt(q2 + e.ppsiSq[j][t])
-		} else {
-			psi = math.Sqrt(q2)
-		}
-		sigma := math.Sqrt(h*h + psi*psi)
-		z := (qj - c) / sigma
-		return num.InvSqrt2Pi / sigma * w.exp(-0.5*z*z)
-	}
-	switch e.mode {
-	case modePlain:
-		z := (qj - c) / h
-		return num.InvSqrt2Pi / h * w.exp(-0.5*z*z)
-	case modeWidth:
-		wd := e.pwidth[j][t]
-		z := (qj - c) / wd
-		return num.InvSqrt2Pi / wd * w.exp(-0.5*z*z)
-	case modePaperMixed:
-		if e.ppsi[j][t] == 0 {
-			z := (qj - c) / h
-			return num.InvSqrt2Pi / h * w.exp(-0.5*z*z)
-		}
-		d := qj - c
-		return e.pnorm[j][t] * w.exp(-d*d/e.ptv[j][t])
-	default: // modePaperAll
-		d := qj - c
-		return e.pnorm[j][t] * w.exp(-d*d/e.ptv[j][t])
+	prod := w.prod[:hi-lo]
+	w.e.terms(&w.e.perm, lo, w.q, w.qerr, w.dims, w.exp, prod)
+	for _, p := range prod {
+		w.sum += p
 	}
 }

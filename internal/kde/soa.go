@@ -52,33 +52,26 @@ type engine struct {
 	acc   kernel.AccuracyMode
 	prune float64
 
-	// Column storage, cols[j][i]; width/psi/psiSq/norm/tv are present
-	// per mode as documented on soaMode (psiSq feeds the DensityQ path).
-	cols  [][]float64
-	width [][]float64
-	psi   [][]float64
-	psiSq [][]float64
-	norm  [][]float64
-	tv    [][]float64
-	wts   []float64 // starting product per entry; nil = 1
-
-	// Far-field pruning structures (nil unless prune > 0): the k-d tree
-	// over the centers, subtree aggregates, and every column permuted
-	// into DFS preorder so any subtree is a contiguous span.
-	tree   *kdtree.Tree
-	sub    *kdtree.Subtrees
-	pcols  [][]float64
-	pwidth [][]float64
-	ppsi   [][]float64
-	ppsiSq [][]float64
-	pnorm  [][]float64
-	ptv    [][]float64
-	pwts   []float64
+	// flat holds the columns in entry order. perm holds the same
+	// columns in the k-d tree's DFS preorder, so any subtree is a
+	// contiguous span; it, the tree and the subtree aggregates are set
+	// only when prune > 0.
+	flat, perm colSet
+	tree       *kdtree.Tree
+	sub        *kdtree.Subtrees
 
 	// pool recycles the per-query product buffer (len n). Held by
 	// pointer so shallow copies of the engine (WithAccuracy) share it —
 	// a sync.Pool must not be copied after first use.
 	pool *sync.Pool
+}
+
+// colSet is the engine's column storage in one entry order, x[j][i]
+// the centers. width, psi, psiSq, norm and tv are present per mode as
+// documented on soaMode (psiSq feeds the uncertain-query form).
+type colSet struct {
+	x, width, psi, psiSq, norm, tv [][]float64
+	wts                            []float64 // starting product per entry; nil = 1
 }
 
 // newEngine builds the SoA engine for an estimator over positive,
@@ -95,8 +88,7 @@ func newEngine(opt Options, h []float64, total float64, cents, psis [][]float64,
 		h:     h,
 		acc:   opt.Eval.Accuracy,
 		prune: opt.Eval.Prune,
-		cols:  toCols(cents, d),
-		wts:   wts,
+		flat:  colSet{x: toCols(cents, d), wts: wts},
 	}
 	switch {
 	case cluster && opt.PaperKernel:
@@ -111,15 +103,15 @@ func newEngine(opt Options, h []float64, total float64, cents, psis [][]float64,
 		e.mode = modeWidth
 	}
 	if psis != nil {
-		e.psi = toCols(psis, d)
-		e.psiSq = mapCols(e.psi, func(_ int, p float64) float64 { return p * p })
+		e.flat.psi = toCols(psis, d)
+		e.flat.psiSq = mapCols(e.flat.psi, func(_ int, p float64) float64 { return p * p })
 	}
 	switch e.mode {
 	case modeWidth:
 		// Per-entry width reproducing the scalar branch bit-for-bit:
 		// PointKDE uses h itself for ψ=0 (evalKernel's kernel.Gaussian
 		// branch), ClusterKDE always computes √(h²+Δ²) even for Δ=0.
-		e.width = mapCols(e.psi, func(j int, p float64) float64 {
+		e.flat.width = mapCols(e.flat.psi, func(j int, p float64) float64 {
 			if !cluster && p == 0 {
 				return h[j]
 			}
@@ -128,15 +120,15 @@ func newEngine(opt Options, h []float64, total float64, cents, psis [][]float64,
 	case modePaperMixed, modePaperAll:
 		// Eq. 3 split into a normalizer and a doubled variance so the
 		// inner loop is one multiply and one exp per entry.
-		e.norm = mapCols(e.psi, func(j int, p float64) float64 {
+		e.flat.norm = mapCols(e.flat.psi, func(j int, p float64) float64 {
 			return num.InvSqrt2Pi / (h[j] + p)
 		})
-		e.tv = mapCols(e.psi, func(j int, p float64) float64 {
+		e.flat.tv = mapCols(e.flat.psi, func(j int, p float64) float64 {
 			return 2 * (h[j]*h[j] + p*p)
 		})
 	}
 	if opt.Eval.Prune > 0 {
-		if err := e.buildIndex(cents, psis, wts); err != nil {
+		if err := e.buildIndex(cents, psis); err != nil {
 			return nil, err
 		}
 	}
@@ -155,31 +147,37 @@ func (e *engine) withAccuracy(m kernel.AccuracyMode) *engine {
 	return &c
 }
 
-// buildIndex constructs the k-d tree, subtree aggregates, and the
-// preorder-permuted column twins used by the pruned traversal.
-func (e *engine) buildIndex(cents, psis [][]float64, wts []float64) error {
+// buildIndex constructs the k-d tree, the subtree aggregates, and the
+// preorder twin of the columns used by the pruned traversal.
+func (e *engine) buildIndex(cents, psis [][]float64) error {
 	tree, err := kdtree.Build(cents)
 	if err != nil {
 		return err
 	}
-	sub, err := tree.Annotate(psis, wts)
+	sub, err := tree.Annotate(psis, e.flat.wts)
 	if err != nil {
 		return err
 	}
 	e.tree, e.sub = tree, sub
-	e.pcols = permuteCols(e.cols, sub.Perm)
-	e.pwidth = permuteCols(e.width, sub.Perm)
-	e.ppsi = permuteCols(e.psi, sub.Perm)
-	e.ppsiSq = permuteCols(e.psiSq, sub.Perm)
-	e.pnorm = permuteCols(e.norm, sub.Perm)
-	e.ptv = permuteCols(e.tv, sub.Perm)
-	if wts != nil {
-		e.pwts = make([]float64, len(wts))
-		for t, i := range sub.Perm {
-			e.pwts[t] = wts[i]
-		}
-	}
+	e.perm = e.flat.permute(sub.Perm)
 	return nil
+}
+
+// permute returns the column set reordered by the preorder
+// permutation: entry t of the result is entry perm[t] of c.
+func (c colSet) permute(perm []int32) colSet {
+	p := colSet{
+		x:     permuteCols(c.x, perm),
+		width: permuteCols(c.width, perm),
+		psi:   permuteCols(c.psi, perm),
+		psiSq: permuteCols(c.psiSq, perm),
+		norm:  permuteCols(c.norm, perm),
+		tv:    permuteCols(c.tv, perm),
+	}
+	if c.wts != nil {
+		p.wts = permuteCols([][]float64{c.wts}, perm)[0]
+	}
+	return p
 }
 
 // toCols transposes row storage into d column slices backed by one
@@ -257,50 +255,24 @@ func (e *engine) expFn(nd int) func(float64) float64 {
 }
 
 // density evaluates the estimate at q over dims using the scratch
-// product buffer (len ≥ n). Pruning applies when configured; otherwise
-// the flat column scan runs, bit-identical to the scalar path in exact
-// mode.
-func (e *engine) density(q []float64, dims []int, prod []float64) float64 {
+// product buffer (len ≥ n). qerr, when non-nil, folds the query's own
+// per-dimension errors into every kernel's variance, as in the scalar
+// DensityQ. Pruning applies when configured; otherwise the flat column
+// scan runs, bit-identical to the scalar path in exact mode.
+func (e *engine) density(q, qerr []float64, dims []int, prod []float64) float64 {
 	if e.prune > 0 {
-		return e.densityPruned(q, dims, nil)
+		return e.densityPruned(q, qerr, dims)
 	}
-	return e.densityFlat(q, dims, prod)
+	return e.densityFlat(q, qerr, dims, prod)
 }
 
-// densityQ is the uncertain-query variant: qerr's per-dimension errors
-// fold into every kernel's variance, as in the scalar DensityQ.
-func (e *engine) densityQ(q, qerr []float64, dims []int, prod []float64) float64 {
-	if qerr == nil {
-		return e.density(q, dims, prod)
-	}
-	if e.prune > 0 {
-		return e.densityPruned(q, dims, qerr)
-	}
-	return e.densityQFlat(q, qerr, dims, prod)
-}
-
-// initProd seeds the product buffer: cluster weights or 1.
-func (e *engine) initProd(prod []float64) {
-	if e.wts != nil {
-		copy(prod, e.wts)
-		return
-	}
-	for i := range prod {
-		prod[i] = 1
-	}
-}
-
-// densityFlat is the unpruned dim-major scan: one pass per dimension
-// over contiguous columns, then a sum in entry order. Dropping the
-// scalar path's early break on a zero product cannot change bits —
-// every Gaussian factor is finite, and 0 × finite = 0.
-func (e *engine) densityFlat(q []float64, dims []int, prod []float64) float64 {
+// densityFlat is the unpruned scan: the products of every entry, then a
+// sum in entry order. Dropping the scalar path's early break on a zero
+// product cannot change bits — every Gaussian factor is finite, and
+// 0 × finite = 0.
+func (e *engine) densityFlat(q, qerr []float64, dims []int, prod []float64) float64 {
 	prod = prod[:e.n]
-	e.initProd(prod)
-	exp := e.expFn(len(dims))
-	for _, j := range dims {
-		e.mulDim(prod, j, q[j], exp)
-	}
+	e.terms(&e.flat, 0, q, qerr, dims, e.expFn(len(dims)), prod)
 	var sum float64
 	for _, p := range prod {
 		sum += p
@@ -308,19 +280,56 @@ func (e *engine) densityFlat(q []float64, dims []int, prod []float64) float64 {
 	return sum / e.total
 }
 
-// mulDim multiplies every entry's product by its kernel factor along
-// dimension j at query coordinate v, in the form the engine's mode
-// encodes, over the flat (unpermuted) columns.
-func (e *engine) mulDim(prod []float64, j int, v float64, exp func(float64) float64) {
+// terms writes into prod the kernel products of entries
+// [lo, lo+len(prod)) of cs at q over dims: the starting weight, then one
+// dim-major pass per dimension over contiguous columns. It is the one
+// implementation of the kernel forms: the flat scan, the pruned walk's
+// spans and the shard's partial terms all run it. For an uncertain query
+// (qerr non-nil) every width folds in the query's own error with the
+// scalar DensityQ's op sequence: ψ² terms add before the square root,
+// and the widened σ re-derives from ψ via √(h²+ψ²).
+func (e *engine) terms(cs *colSet, lo int, q, qerr []float64, dims []int, exp func(float64) float64, prod []float64) {
+	hi := lo + len(prod)
+	if cs.wts != nil {
+		copy(prod, cs.wts[lo:hi])
+	} else {
+		for i := range prod {
+			prod[i] = 1
+		}
+	}
+	for _, j := range dims {
+		if qerr == nil {
+			e.mulDim(cs, lo, prod, j, q[j], exp)
+			continue
+		}
+		q2 := qerr[j] * qerr[j]
+		if cs.psiSq == nil {
+			// No per-entry errors: the widened σ is constant along the
+			// column, so hoist it (identical operations, done once).
+			psi := math.Sqrt(q2)
+			sigma := math.Sqrt(e.h[j]*e.h[j] + psi*psi)
+			mulGauss(prod, cs.x[j][lo:hi], q[j], sigma, exp)
+			continue
+		}
+		mulQ(prod, cs.x[j][lo:hi], cs.psiSq[j][lo:hi], q[j], q2, e.h[j], exp)
+	}
+}
+
+// mulDim multiplies the products of entries [lo, lo+len(prod)) of cs by
+// their kernel factors along dimension j at query coordinate v, in the
+// form the engine's mode encodes.
+func (e *engine) mulDim(cs *colSet, lo int, prod []float64, j int, v float64, exp func(float64) float64) {
+	hi := lo + len(prod)
+	col := cs.x[j][lo:hi]
 	switch e.mode {
 	case modePlain:
-		mulGauss(prod, e.cols[j], v, e.h[j], exp)
+		mulGauss(prod, col, v, e.h[j], exp)
 	case modeWidth:
-		mulWidth(prod, e.cols[j], e.width[j], v, exp)
+		mulWidth(prod, col, cs.width[j][lo:hi], v, exp)
 	case modePaperMixed:
-		mulPaperMixed(prod, e.cols[j], e.psi[j], e.norm[j], e.tv[j], v, e.h[j], exp)
+		mulPaperMixed(prod, col, cs.psi[j][lo:hi], cs.norm[j][lo:hi], cs.tv[j][lo:hi], v, e.h[j], exp)
 	case modePaperAll:
-		mulPaperAll(prod, e.cols[j], e.norm[j], e.tv[j], v, exp)
+		mulPaperAll(prod, col, cs.norm[j][lo:hi], cs.tv[j][lo:hi], v, exp)
 	}
 }
 
@@ -334,34 +343,8 @@ func (e *engine) factors(q []float64, f [][]float64) {
 		for i := range col {
 			col[i] = 1
 		}
-		e.mulDim(col, j, q[j], math.Exp)
+		e.mulDim(&e.flat, 0, col, j, q[j], math.Exp)
 	}
-}
-
-// densityQFlat folds the query's own errors into every width. The op
-// sequences replicate the scalar DensityQ exactly: ψ² terms add before
-// the square root, and the widened σ re-derives from ψ via √(h²+ψ²).
-func (e *engine) densityQFlat(q, qerr []float64, dims []int, prod []float64) float64 {
-	prod = prod[:e.n]
-	e.initProd(prod)
-	exp := e.expFn(len(dims))
-	for _, j := range dims {
-		q2 := qerr[j] * qerr[j]
-		if e.psiSq == nil {
-			// No per-entry errors: the widened σ is constant along the
-			// column, so hoist it (identical operations, done once).
-			psi := math.Sqrt(q2)
-			sigma := math.Sqrt(e.h[j]*e.h[j] + psi*psi)
-			mulGauss(prod, e.cols[j], q[j], sigma, exp)
-			continue
-		}
-		mulQ(prod, e.cols[j], e.psiSq[j], q[j], q2, e.h[j], exp)
-	}
-	var sum float64
-	for _, p := range prod {
-		sum += p
-	}
-	return sum / e.total
 }
 
 // mulGauss multiplies each product by the plain Gaussian factor — the

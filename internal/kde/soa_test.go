@@ -264,6 +264,42 @@ func TestPruningActuallyPrunes(t *testing.T) {
 	}
 }
 
+// TestPrunedWalkAllocatesPerBatch: the pruned walk evaluates an
+// uncertain query without allocating, at any dimensionality (d = 17
+// here), so a batch's allocations do not grow with its row count.
+func TestPrunedWalkAllocatesPerBatch(t *testing.T) {
+	const d = 17
+	r := rng.New(33)
+	s := microcluster.NewSummarizer(60, d)
+	X, Qerr := make([][]float64, 64), make([][]float64, 64)
+	for i := 0; i < 600; i++ {
+		x, e := make([]float64, d), make([]float64, d)
+		for j := range x {
+			x[j], e[j] = r.Norm(0, 1), 0.1
+		}
+		s.Add(x, e)
+		if i < len(X) {
+			X[i], Qerr[i] = x, e
+		}
+	}
+	est, err := NewCluster(s, Options{ErrorAdjust: true, Eval: evalopt.Options{Prune: 1e-3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := DensityQBatchOpts(est, X[:n], Qerr[:n], nil, BatchOptions{Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// Two allocations of slack: under -race the scratch pool may drop
+	// its buffer, costing one more allocation per batch, not per row.
+	if one, all := allocs(1), allocs(len(X)); all > one+2 {
+		t.Fatalf("pruned uncertain-query batch: %v allocs for 1 row, %v for %d rows", one, all, len(X))
+	}
+}
+
 // TestPruneZeroTakesFlatPath: Prune=0 must not build the index and must
 // stay on the bit-identical flat path.
 func TestPruneZeroTakesFlatPath(t *testing.T) {

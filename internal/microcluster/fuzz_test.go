@@ -1,8 +1,12 @@
 package microcluster
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"testing"
+
+	"udm/internal/udmerr"
 )
 
 // FuzzDist2 checks the Eq. 5 metric's invariants on arbitrary inputs:
@@ -171,4 +175,68 @@ func FuzzFeatureAdd(f *testing.F) {
 			t.Fatalf("centroid %v outside [%v, %v]", c, lo, hi)
 		}
 	})
+}
+
+// savedArtifact is a real Save artifact: a q = 4, d = 2 summary of
+// eight records with errors.
+func savedArtifact(tb testing.TB) []byte {
+	tb.Helper()
+	s := NewSummarizer(4, 2)
+	for i := 0; i < 8; i++ {
+		s.Add([]float64{float64(i) * 0.5, float64(-i)}, []float64{0.1, 0.25})
+	}
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzLoadSummarizer feeds arbitrary bytes to Load, the decoder behind
+// summary artifacts, staged uploads, transform and engine checkpoints
+// and the proxy's shard pulls. Load never panics, every error it
+// returns wraps ErrBadData, and a summary it accepts saves and reloads
+// to the same q, d, clock and features, bit for bit.
+func FuzzLoadSummarizer(f *testing.F) {
+	f.Add(savedArtifact(f))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s, err := Load(bytes.NewReader(b))
+		if err != nil {
+			if !errors.Is(err, udmerr.ErrBadData) {
+				t.Fatalf("Load error %v does not wrap ErrBadData", err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
+			t.Fatalf("Save of an accepted summary: %v", err)
+		}
+		back, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("reloading an accepted summary: %v", err)
+		}
+		if back.q != s.q || back.d != s.d || back.clock != s.clock || len(back.feats) != len(s.feats) {
+			t.Fatalf("round trip: q %d→%d, d %d→%d, clock %d→%d, %d→%d features",
+				s.q, back.q, s.d, back.d, s.clock, back.clock, len(s.feats), len(back.feats))
+		}
+		for i, f := range s.feats {
+			g := back.feats[i]
+			if f.N != g.N || f.FirstT != g.FirstT || f.LastT != g.LastT ||
+				!sameBits(f.CF1, g.CF1) || !sameBits(f.CF2, g.CF2) || !sameBits(f.EF2, g.EF2) {
+				t.Fatalf("round trip changed feature %d: %+v → %+v", i, f, g)
+			}
+		}
+	})
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

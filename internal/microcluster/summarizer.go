@@ -7,7 +7,9 @@ import (
 	"math"
 
 	"udm/internal/dataset"
+	"udm/internal/num"
 	"udm/internal/rng"
+	"udm/internal/udmerr"
 )
 
 // Summarizer condenses a stream of error-bearing records into at most q
@@ -150,26 +152,50 @@ func (s *Summarizer) Save(w io.Writer) error {
 	return nil
 }
 
-// Load deserializes a summarizer previously written by Save.
+// Load deserializes a summarizer previously written by Save and checks
+// Definition 1's invariants, which every summary Add or FromFeatures
+// builds holds: q, d ≥ 1; at most q features; each feature d wide with
+// n ≥ 1; finite CF1x, CF2x and EF2x; non-negative CF2x and EF2x. Every
+// error wraps udmerr.ErrBadData: the bytes often cross a trust boundary
+// (uploads, shard pulls, checkpoints), and a summary that broke an
+// invariant would answer NaN densities.
 func Load(r io.Reader) (*Summarizer, error) {
 	var snap snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("microcluster: decoding summarizer: %w", err)
+		return nil, fmt.Errorf("microcluster: decoding summarizer: %w: %w", err, udmerr.ErrBadData)
 	}
-	if snap.Q < 1 || snap.D < 1 {
-		return nil, fmt.Errorf("microcluster: corrupt snapshot (q=%d, d=%d)", snap.Q, snap.D)
+	if snap.Q < 1 || snap.D < 1 || len(snap.Feats) > snap.Q {
+		return nil, fmt.Errorf("microcluster: corrupt snapshot (q=%d, d=%d, %d features): %w",
+			snap.Q, snap.D, len(snap.Feats), udmerr.ErrBadData)
 	}
 	s := NewSummarizer(snap.Q, snap.D)
 	s.clock = snap.Clock
 	for i := range snap.Feats {
 		f := snap.Feats[i].Clone()
-		if f.Dims() != snap.D || f.N == 0 {
-			return nil, fmt.Errorf("microcluster: corrupt feature %d in snapshot", i)
+		if err := f.check(snap.D); err != nil {
+			return nil, fmt.Errorf("microcluster: corrupt feature %d in snapshot: %w: %w", i, err, udmerr.ErrBadData)
 		}
 		s.feats = append(s.feats, f)
 		s.cents = append(s.cents, f.Centroid(nil))
 	}
 	return s, nil
+}
+
+// check reports the first Definition-1 invariant a decoded feature
+// breaks, for a summary d wide.
+func (f *Feature) check(d int) error {
+	if len(f.CF1) != d || len(f.CF2) != d || len(f.EF2) != d || f.N < 1 {
+		return fmt.Errorf("widths %d/%d/%d for %d dims, n=%d", len(f.CF1), len(f.CF2), len(f.EF2), d, f.N)
+	}
+	if !num.AllFinite(f.CF1) || !num.AllFinite(f.CF2) || !num.AllFinite(f.EF2) {
+		return fmt.Errorf("non-finite sum")
+	}
+	for j := 0; j < d; j++ {
+		if f.CF2[j] < 0 || f.EF2[j] < 0 {
+			return fmt.Errorf("negative sum of squares at dimension %d", j)
+		}
+	}
+	return nil
 }
 
 // FromFeatures builds a read-mostly Summarizer view over existing

@@ -2,11 +2,14 @@ package microcluster
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
 	"math"
 	"testing"
 
 	"udm/internal/dataset"
 	"udm/internal/rng"
+	"udm/internal/udmerr"
 )
 
 func TestSummarizerSeedsThenAssigns(t *testing.T) {
@@ -165,8 +168,59 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not gob"))); err == nil {
-		t.Fatal("garbage accepted")
+	if _, err := Load(bytes.NewReader([]byte("not gob"))); !errors.Is(err, udmerr.ErrBadData) {
+		t.Fatalf("garbage: got %v, want ErrBadData", err)
+	}
+}
+
+// TestLoadEnforcesDefinition1 breaks one invariant per case in an
+// otherwise valid snapshot: Load refuses each with ErrBadData, and
+// accepts the unbroken snapshot.
+func TestLoadEnforcesDefinition1(t *testing.T) {
+	valid := func() snapshot {
+		s := NewSummarizer(3, 2)
+		for i := 0; i < 9; i++ {
+			s.Add([]float64{float64(i), float64(2 * i)}, []float64{0.5, 0.25})
+		}
+		snap := snapshot{Q: s.q, D: s.d, Clock: s.clock}
+		for _, f := range s.feats {
+			snap.Feats = append(snap.Feats, *f.Clone())
+		}
+		return snap
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*snapshot)
+	}{
+		{"none", func(*snapshot) {}},
+		{"q < 1", func(s *snapshot) { s.Q = 0 }},
+		{"d < 1", func(s *snapshot) { s.D = 0 }},
+		{"more features than q", func(s *snapshot) { s.Q = 2 }},
+		{"short CF2", func(s *snapshot) { s.Feats[1].CF2 = s.Feats[1].CF2[:1] }},
+		{"n = 0", func(s *snapshot) { s.Feats[0].N = 0 }},
+		{"negative n", func(s *snapshot) { s.Feats[0].N = -3 }},
+		{"NaN CF1", func(s *snapshot) { s.Feats[2].CF1[1] = math.NaN() }},
+		{"infinite CF2", func(s *snapshot) { s.Feats[0].CF2[0] = math.Inf(1) }},
+		{"infinite EF2", func(s *snapshot) { s.Feats[1].EF2[1] = math.Inf(1) }},
+		{"negative CF2", func(s *snapshot) { s.Feats[0].CF2[1] = -1 }},
+		{"negative EF2", func(s *snapshot) { s.Feats[2].EF2[0] = -0.5 }},
+	} {
+		snap := valid()
+		tc.mutate(&snap)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(&buf)
+		if tc.name == "none" {
+			if err != nil {
+				t.Fatalf("valid snapshot refused: %v", err)
+			}
+			continue
+		}
+		if !errors.Is(err, udmerr.ErrBadData) {
+			t.Errorf("%s: got %v, want ErrBadData", tc.name, err)
+		}
 	}
 }
 

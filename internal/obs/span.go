@@ -30,8 +30,31 @@ type Tracer struct {
 	nextID atomic.Uint64
 
 	mu     sync.Mutex
-	recent []Trace    // ring, oldest first
-	slow   []SpanInfo // ring, oldest first
+	recent ring[Trace]
+	slow   ring[SpanInfo]
+}
+
+// ring keeps the last size values pushed into it. A push is O(1): once
+// the buffer is full it overwrites the oldest slot, at next.
+type ring[T any] struct {
+	buf  []T
+	next int
+}
+
+func (r *ring[T]) push(v T, size int) {
+	if len(r.buf) < size {
+		r.buf = append(r.buf, v)
+		return
+	}
+	r.buf[r.next] = v
+	r.next = (r.next + 1) % size
+}
+
+// values returns a copy of the ring, oldest first.
+func (r *ring[T]) values() []T {
+	out := make([]T, 0, len(r.buf))
+	out = append(out, r.buf[r.next:]...)
+	return append(out, r.buf[:r.next]...)
 }
 
 // NewTracer returns a tracer with the given options.
@@ -190,19 +213,13 @@ func (s *Span) End() {
 
 func (t *Tracer) pushRecent(tr Trace) {
 	t.mu.Lock()
-	t.recent = append(t.recent, tr)
-	if len(t.recent) > t.opt.RingSize {
-		t.recent = append(t.recent[:0], t.recent[len(t.recent)-t.opt.RingSize:]...)
-	}
+	t.recent.push(tr, t.opt.RingSize)
 	t.mu.Unlock()
 }
 
 func (t *Tracer) pushSlow(info SpanInfo) {
 	t.mu.Lock()
-	t.slow = append(t.slow, info)
-	if len(t.slow) > t.opt.RingSize {
-		t.slow = append(t.slow[:0], t.slow[len(t.slow)-t.opt.RingSize:]...)
-	}
+	t.slow.push(info, t.opt.RingSize)
 	t.mu.Unlock()
 }
 
@@ -210,18 +227,14 @@ func (t *Tracer) pushSlow(info SpanInfo) {
 // oldest first.
 func (t *Tracer) Recent() []Trace {
 	t.mu.Lock()
-	out := make([]Trace, len(t.recent))
-	copy(out, t.recent)
-	t.mu.Unlock()
-	return out
+	defer t.mu.Unlock()
+	return t.recent.values()
 }
 
 // Slow returns a copy of the ring of spans that exceeded the slow
 // threshold, oldest first.
 func (t *Tracer) Slow() []SpanInfo {
 	t.mu.Lock()
-	out := make([]SpanInfo, len(t.slow))
-	copy(out, t.slow)
-	t.mu.Unlock()
-	return out
+	defer t.mu.Unlock()
+	return t.slow.values()
 }

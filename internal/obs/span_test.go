@@ -104,6 +104,29 @@ func TestRecentRingBounded(t *testing.T) {
 	}
 }
 
+// TestRingsOldestFirstAcrossWrap pins both rings' order: after any
+// number of pushes, Recent and Slow return the last RingSize values,
+// oldest first, across every wrap of the buffer.
+func TestRingsOldestFirstAcrossWrap(t *testing.T) {
+	const size = 4
+	tr := NewTracer(TracerOptions{RingSize: size})
+	for n := 1; n <= 3*size+1; n++ {
+		tr.pushRecent(Trace{TraceID: uint64(n)})
+		tr.pushSlow(SpanInfo{SpanID: uint64(n)})
+		first := max(n-size, 0) + 1
+		recent, slow := tr.Recent(), tr.Slow()
+		if len(recent) != n-first+1 || len(slow) != n-first+1 {
+			t.Fatalf("after %d pushes: %d recent, %d slow, want %d", n, len(recent), len(slow), n-first+1)
+		}
+		for i := range recent {
+			if want := uint64(first + i); recent[i].TraceID != want || slow[i].SpanID != want {
+				t.Fatalf("after %d pushes: slot %d holds recent %d, slow %d, want %d",
+					n, i, recent[i].TraceID, slow[i].SpanID, want)
+			}
+		}
+	}
+}
+
 func TestSlowSpanLogged(t *testing.T) {
 	var mu sync.Mutex
 	var lines []string

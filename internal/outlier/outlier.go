@@ -16,6 +16,7 @@ import (
 
 	"udm/internal/dataset"
 	"udm/internal/kde"
+	"udm/internal/kernel"
 	"udm/internal/microcluster"
 	"udm/internal/udmerr"
 )
@@ -94,7 +95,12 @@ func Detect(ds *dataset.Dataset, opt Options) (*Result, error) {
 // errors (nil = exact queries; individual rows may also be nil), which
 // are folded into the expected-density score when opt.UseQueryError is
 // set. Useful for online anomaly detection over a stream transform.
-// Cancelling ctx stops scoring between queries and returns ctx.Err().
+//
+// Scores come from one serial kde.DensityQBatchOpts call, always exact:
+// opt.KDE.Eval is validated, then its Prune and Accuracy are set aside.
+// A malformed query or error row returns an error wrapping
+// udmerr.ErrDimensionMismatch. Cancelling ctx stops scoring before the
+// next query and returns an error wrapping ctx.Err().
 func DetectStream(ctx context.Context, s *microcluster.Summarizer, queries, queryErrs [][]float64, opt Options) (*Result, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("outlier: no query points: %w", udmerr.ErrBadData)
@@ -108,27 +114,25 @@ func DetectStream(ctx context.Context, s *microcluster.Summarizer, queries, quer
 	if opt.Contamination < 0 || opt.Contamination >= 1 {
 		return nil, fmt.Errorf("outlier: contamination %v out of (0,1): %w", opt.Contamination, udmerr.ErrBadOption)
 	}
-	est, err := kde.NewCluster(s, opt.KDE)
+	if err := opt.KDE.Eval.Validate(); err != nil {
+		return nil, fmt.Errorf("outlier: %w", err)
+	}
+	kopt := opt.KDE
+	kopt.Eval.Prune, kopt.Eval.Accuracy = 0, kernel.Exact()
+	est, err := kde.NewCluster(s, kopt)
 	if err != nil {
 		return nil, fmt.Errorf("outlier: %w", err)
 	}
-	dims := opt.Dims
-	if dims == nil {
-		dims = make([]int, s.Dims())
-		for j := range dims {
-			dims[j] = j
-		}
+	var qerrs [][]float64
+	if opt.UseQueryError {
+		qerrs = queryErrs
 	}
-	scores := make([]float64, len(queries))
-	for i, q := range queries {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if opt.UseQueryError && queryErrs != nil && queryErrs[i] != nil {
-			scores[i] = negLog(est.DensityQ(q, queryErrs[i], dims))
-		} else {
-			scores[i] = negLog(est.DensitySub(q, dims))
-		}
+	scores, err := kde.DensityQBatchOpts(est, queries, qerrs, opt.Dims, kde.BatchOptions{Ctx: ctx, Workers: 1})
+	if err != nil {
+		return nil, fmt.Errorf("outlier: %w", err)
+	}
+	for i, d := range scores {
+		scores[i] = negLog(d)
 	}
 	return flag(scores, opt.Contamination), nil
 }

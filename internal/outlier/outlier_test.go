@@ -2,6 +2,7 @@ package outlier
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"udm/internal/kde"
 	"udm/internal/microcluster"
 	"udm/internal/rng"
+	"udm/internal/udmerr"
 )
 
 // blobWithOutliers builds a tight 2-D blob plus explicit far-away rows.
@@ -196,6 +198,29 @@ func TestDetectStreamQueryError(t *testing.T) {
 	if !(res.Scores[0] > res.Scores[1]) {
 		t.Fatalf("exact query score %v should exceed uncertain query score %v",
 			res.Scores[0], res.Scores[1])
+	}
+}
+
+// TestDetectStreamMalformedRows: a query row or an error row of the
+// wrong width is an error wrapping ErrDimensionMismatch, not a panic.
+func TestDetectStreamMalformedRows(t *testing.T) {
+	s := microcluster.NewSummarizer(10, 2)
+	r := rng.New(6)
+	for i := 0; i < 200; i++ {
+		s.Add([]float64{r.Norm(0, 1), r.Norm(0, 1)}, []float64{0.1, 0.1})
+	}
+	opt := Options{UseQueryError: true, KDE: kde.Options{ErrorAdjust: true}}
+	for _, tc := range []struct {
+		name           string
+		queries, qerrs [][]float64
+	}{
+		{"query row", [][]float64{{0, 0}, {1}}, nil},
+		{"error row", [][]float64{{0, 0}, {1, 1}}, [][]float64{nil, {0.1}}},
+	} {
+		_, err := DetectStream(context.Background(), s, tc.queries, tc.qerrs, opt)
+		if !errors.Is(err, udmerr.ErrDimensionMismatch) {
+			t.Errorf("%s: got %v, want ErrDimensionMismatch", tc.name, err)
+		}
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"udm/internal/core"
+	"udm/internal/microcluster"
 )
 
 // putArtifact PUTs a serialized model artifact and returns the status
@@ -155,6 +156,22 @@ func TestHotSwapLifecycle(t *testing.T) {
 	st, _ = putArtifact(t, base+"?kind=sorcery", artifact)
 	if st != http.StatusBadRequest {
 		t.Fatalf("unknown kind -> %d, want 400", st)
+	}
+	// So is a summary that breaks Definition 1: negative sums of
+	// squares would answer NaN at every query.
+	sum := microcluster.NewSummarizer(4, 2)
+	for i := 0; i < 8; i++ {
+		sum.Add([]float64{float64(i), float64(-i)}, []float64{0.1, 0.2})
+	}
+	sum.Feature(0).CF2[0], sum.Feature(1).EF2[1] = -1, -1
+	var poisoned bytes.Buffer
+	if err := sum.Save(&poisoned); err != nil {
+		t.Fatal(err)
+	}
+	st, put = putArtifact(t, base+"?kind=summarizer", poisoned.Bytes())
+	errObj, _ := put["error"].(map[string]any)
+	if code, _ := errObj["code"].(string); st != http.StatusBadRequest || code != "bad_artifact" {
+		t.Fatalf("poisoned summary artifact -> %d %v, want 400 bad_artifact", st, put)
 	}
 }
 

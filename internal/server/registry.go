@@ -320,7 +320,7 @@ func (m *Model) partialEstimator(h []float64) (*kde.ClusterKDE, uint64, error) {
 		return m.partial, v, nil
 	}
 	opt := m.kdeOpt
-	opt.Bandwidths = h
+	opt.Bandwidths, opt.Eval.Prune = h, 0 // the terms never walk a tree
 	est, err := kde.NewCluster(sum, opt)
 	if err != nil {
 		return nil, 0, fmt.Errorf("server: model %q: %w", m.name, err)

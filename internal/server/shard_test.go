@@ -131,6 +131,18 @@ func TestShardPartialEndpoint(t *testing.T) {
 	if status != http.StatusBadRequest || code != "dimension_mismatch" {
 		t.Fatalf("short point: %d %q, want 400 dimension_mismatch", status, code)
 	}
+
+	// Terms must come under the coordinator's bandwidths: a request
+	// without a full vector, missing or empty, is refused.
+	for _, body := range []map[string]any{
+		{"points": queries[:1], "version": 0},
+		{"points": queries[:1], "bandwidths": []float64{}, "version": 0},
+	} {
+		status, code = errCode(t, ts.URL+"/v1/models/blobs/partial", body)
+		if status != http.StatusBadRequest || code != "dimension_mismatch" {
+			t.Fatalf("bandwidths %v: %d %q, want 400 dimension_mismatch", body["bandwidths"], status, code)
+		}
+	}
 }
 
 func TestShardCheckpointEndpoint(t *testing.T) {

@@ -286,10 +286,18 @@ func finiteSquares(what string, dims int, rows [][]float64) error {
 }
 
 // Validate checks a partial request's points against a model dims
-// wide.
+// wide, and that it carries the coordinator's bandwidths, one per
+// dimension: terms under the shard's own bandwidth rule would not merge
+// to the single-node answer.
 func (req *partialRequest) Validate(model string, dims int) error {
-	_, _, err := points(model, dims, nil, req.Points)
-	return err
+	if _, _, err := points(model, dims, nil, req.Points); err != nil {
+		return err
+	}
+	if len(req.Bandwidths) != dims {
+		return fmt.Errorf("server: %d bandwidths for model %q with %d dims: %w",
+			len(req.Bandwidths), model, dims, udmerr.ErrDimensionMismatch)
+	}
+	return nil
 }
 
 // ScoreOutliers scores a validated outliers request against sum under

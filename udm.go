@@ -58,11 +58,11 @@
 //
 // Every parallel batch API threads a context down to the shared worker
 // pool: the density batches through BatchOptions.Ctx
-// (DensityBatchOpts, DensityQBatchOpts and the LeaveOneOutBatchOpts
-// method), the classifier through its *Context method variants
-// (ClassifyBatchContext, PredictBatchContext,
+// (DensityBatchOpts and DensityQBatchOpts), the classifier through its
+// *Context method variants (ClassifyBatchContext, PredictBatchContext,
 // ProbabilitiesBatchContext) and TrainContext. Cancelling the context
-// stops work chunks that have not started and returns ctx.Err(). The
+// stops work chunks that have not started (a density batch also stops
+// before the next row of a running chunk) and returns ctx.Err(). The
 // classifier's context-free forms are thin wrappers over
 // context.Background() kept for convenience; long-running services
 // (see cmd/udmserve) should use the context forms so abandoned
